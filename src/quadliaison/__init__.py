@@ -46,12 +46,8 @@ from .errors import (
     InfeasibleError,
     MappingConeInconsistent,
     NegativeDimension,
-    NegativeKernelDimension,
-    NonIntegralGenus,
     QLError,
     RangeTooLarge,
-    ResidualNegativeDegree,
-    ResidualNegativeGenus,
 )
 from .hilbert import binom, h0_proj, h0_quadric3, h0_spinor
 from .liaison import (
@@ -72,81 +68,3 @@ from .sheaves import AtomKind, SheafExpr, TwistAtom, line_bundle, spinor, zero_s
 from .verify import CheckResult, all_ok, run_reference_checks
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Ambient",
-    "AtomKind",
-    "CANDIDATE_CAP",
-    "DEFAULT_TWIST_BOUNDS",
-    "MATCH_WINDOW",
-    "CellCheck",
-    "CheckResult",
-    "CILinkage",
-    "CohomTable",
-    "ConsistencyReport",
-    "CurveClass",
-    "DEFAULT_WINDOW",
-    "Feasibility",
-    "GeneratorEstimate",
-    "InconsistencyError",
-    "InfeasibleError",
-    "MappingConeInconsistent",
-    "NegativeDimension",
-    "NegativeKernelDimension",
-    "NonIntegralGenus",
-    "P2",
-    "P3",
-    "P4",
-    "QLError",
-    "QUADRIC3",
-    "RangeTooLarge",
-    "RegularityReport",
-    "ResidualNegativeDegree",
-    "ResidualNegativeGenus",
-    "ResolutionFlavor",
-    "ResolutionTriple",
-    "SheafExpr",
-    "TwistAtom",
-    "Window",
-    "acm_embedding_obstruction",
-    "all_ok",
-    "ambient_table",
-    "binom",
-    "cancel_matched_pairs",
-    "ci_residual",
-    "curve_sections",
-    "divisor_surface_degree",
-    "enumerate_rank4_candidates",
-    "etype_candidates",
-    "etype_middle",
-    "full_ideal_table",
-    "generator_estimate",
-    "h0_proj",
-    "h0_quadric3",
-    "h0_spinor",
-    "ideal_h0",
-    "ideal_h0_table",
-    "kernel_table_from_resolution",
-    "klein_parity_check",
-    "line_bundle",
-    "match_acm_kernel",
-    "mapping_cone_e_from_n",
-    "mapping_cone_n_from_e",
-    "nonspecial_threshold",
-    "parse_ambient",
-    "parse_window",
-    "plane_genus",
-    "proj_space",
-    "quadric_linkage",
-    "quadric_surface_genus_spectrum",
-    "rank4_candidate_count",
-    "regularity",
-    "render_value_csv",
-    "render_value_row",
-    "resolution_consistency_check",
-    "rr_chi",
-    "run_reference_checks",
-    "section_table",
-    "spinor",
-    "zero_sheaf",
-]

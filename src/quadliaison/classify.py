@@ -16,7 +16,7 @@ from itertools import combinations_with_replacement
 from typing import Mapping
 
 from .curves import DEFAULT_WINDOW, CurveClass, Window, full_ideal_table, ideal_h0, regularity
-from .errors import NegativeKernelDimension, RangeTooLarge
+from .errors import NegativeDimension, RangeTooLarge
 from .hilbert import binom
 from .sheaves import SheafExpr, line_bundle, spinor, zero_sheaf
 
@@ -52,14 +52,13 @@ def _enumerate_cached(twist_lo: int, twist_hi: int) -> tuple[SheafExpr, ...]:
 def enumerate_rank4_candidates(
     twist_lo: int = DEFAULT_TWIST_BOUNDS[0],
     twist_hi: int = DEFAULT_TWIST_BOUNDS[1],
-    cap: int = CANDIDATE_CAP,
 ) -> list[SheafExpr]:
     """All rank-4 candidate kernels with twists in [twist_lo, twist_hi]."""
     if twist_lo > twist_hi:
         raise ValueError("empty twist range")
     count = rank4_candidate_count(twist_lo, twist_hi)
-    if count > cap:
-        raise RangeTooLarge(count, cap)
+    if count > CANDIDATE_CAP:
+        raise RangeTooLarge(count, CANDIDATE_CAP)
     return list(_enumerate_cached(twist_lo, twist_hi))
 
 
@@ -68,7 +67,6 @@ def match_acm_kernel(
     window: Window = MATCH_WINDOW,
     twist_lo: int = DEFAULT_TWIST_BOUNDS[0],
     twist_hi: int = DEFAULT_TWIST_BOUNDS[1],
-    cap: int = CANDIDATE_CAP,
 ) -> list[SheafExpr]:
     """Candidates whose section counts agree with target on every window cell.
 
@@ -81,7 +79,7 @@ def match_acm_kernel(
     missing = [n for n in range(lo, hi + 1) if n not in target]
     if missing:
         raise ValueError(f"target lacks values at twists {missing}")
-    candidates = enumerate_rank4_candidates(twist_lo, twist_hi, cap)
+    candidates = enumerate_rank4_candidates(twist_lo, twist_hi)
     return [
         cand
         for cand in candidates
@@ -103,7 +101,9 @@ def kernel_table_from_resolution(
     for n in range(lo, hi + 1):
         value = middle.h0(n) - ideal_h0(curve, n)
         if value < 0:
-            raise NegativeKernelDimension(n, value)
+            raise NegativeDimension(
+                n, value, f"kernel section count {value} < 0 at twist {n}"
+            )
         out[n] = value
     return out
 
@@ -154,12 +154,10 @@ def etype_candidates(
     match_window: Window = MATCH_WINDOW,
     twist_lo: int = DEFAULT_TWIST_BOUNDS[0],
     twist_hi: int = DEFAULT_TWIST_BOUNDS[1],
-    middle: SheafExpr | None = None,
 ) -> tuple[SheafExpr, list[SheafExpr]]:
     """Middle term from generator estimates plus every classified kernel
     matching its section deficit.  A unique match yields the E-type
     resolution; callers decide how to treat ambiguity."""
-    if middle is None:
-        middle = etype_middle(curve)
+    middle = etype_middle(curve)
     table = kernel_table_from_resolution(curve, middle, match_window)
     return middle, match_acm_kernel(table, match_window, twist_lo, twist_hi)

@@ -20,11 +20,10 @@ import json
 import os
 import sys
 
-from .ambient import QUADRIC3, Ambient, parse_ambient
+from .ambient import Ambient, parse_ambient
 from .classify import etype_candidates
 from .curves import (
     DEFAULT_WINDOW,
-    CohomTable,
     CurveClass,
     Window,
     ambient_table,
@@ -35,13 +34,14 @@ from .curves import (
     render_value_row,
     section_table,
 )
-from .errors import InconsistencyError, InfeasibleError, RangeTooLarge
+from .errors import InconsistencyError, InfeasibleError
 from .liaison import (
     CILinkage,
     ResolutionFlavor,
     ResolutionTriple,
     ci_residual,
     mapping_cone_n_from_e,
+    residual_curve,
     resolution_consistency_check,
 )
 from .verify import all_ok, run_reference_checks
@@ -103,27 +103,14 @@ class _Run:
             raise ValueError(f"{key} must be an integer, got {value!r}") from None
 
     def window(self) -> Window:
-        for source in (self.args.window, self.scenario.get("window")):
-            if source:
-                return parse_window(source)
-        env = os.environ.get("QL_WINDOW")
-        if env:
-            return parse_window(env)
-        return DEFAULT_WINDOW
-
-    def format(self) -> str:
-        value = self.get("format", "text")
-        if value not in ("text", "csv", "json"):
-            raise ValueError(f"unknown format {value!r}")
-        return value
+        text = self.args.window or self.scenario.get("window") or os.environ.get("QL_WINDOW")
+        return parse_window(text) if text else DEFAULT_WINDOW
 
     def ambient(self) -> Ambient:
         return parse_ambient(self.require("ambient"))
 
     def curve(self) -> CurveClass:
-        return CurveClass(
-            self.ambient(), self.int_of("degree"), self.int_of("genus"), acm=True
-        )
+        return CurveClass(self.ambient(), self.int_of("degree"), self.int_of("genus"))
 
     def int_list(self, key: str) -> tuple[int, ...]:
         text = self.require(key)
@@ -134,9 +121,16 @@ class _Run:
                 f"{key} must be comma-separated integers, got {text!r}"
             ) from None
 
-
-def _pairs(values: dict[int, int]) -> list[list[int]]:
-    return [[n, values[n]] for n in sorted(values)]
+    def emit(self, text, csv, record) -> None:
+        """Print the result in the chosen format.  Each argument renders it
+        for one format when called: text and csv return the lines, record
+        returns the JSON value.  The format is read here, after the result
+        is computed, so a computation error wins over a bad format."""
+        fmt = self.get("format", "text")
+        renderers = {"text": text, "csv": csv, "json": lambda: json.dumps(record()) + "\n"}
+        if fmt not in renderers:
+            raise ValueError(f"unknown format {fmt!r}")
+        print(renderers[fmt](), end="")
 
 
 def _curve_json(curve: CurveClass) -> dict:
@@ -147,58 +141,41 @@ def _curve_json(curve: CurveClass) -> dict:
     }
 
 
-def _emit_row(run: _Run, row: str, values: dict[int, int], curve: CurveClass | None) -> None:
-    fmt = run.format()
-    if fmt == "text":
-        print(render_value_row(values), end="")
-    elif fmt == "csv":
-        print(render_value_csv(values), end="")
-    else:
-        lo, hi = run.window()
-        payload = {"row": row, "window": [lo, hi], "values": _pairs(values)}
-        if curve is not None:
-            payload["curve"] = _curve_json(curve)
-        print(json.dumps(payload))
-
-
-def _emit_full(run: _Run, table: CohomTable, curve: CurveClass) -> None:
-    fmt = run.format()
-    if fmt == "text":
-        print(table.render_grid(), end="")
-    elif fmt == "csv":
-        print(table.render_csv(), end="")
-    else:
-        lo, hi = table.window
-        rows = {
-            f"h{i}": [[n, table.cell(i, n)] for n in range(lo, hi + 1)]
-            for i in (3, 2, 1, 0)
-        }
-        payload = {
-            "row": "full",
-            "window": [lo, hi],
-            "rows": rows,
-            "curve": _curve_json(curve),
-            "notes": list(table.notes),
-        }
-        print(json.dumps(payload))
-
-
 def cmd_table(args: argparse.Namespace) -> int:
     run = _Run(args)
     window = run.window()
     rows = run.get("rows", "full")
-    if rows == "ambient":
-        _emit_row(run, "ambient", ambient_table(run.ambient(), window), None)
+    curve = None if rows == "ambient" else run.curve()
+    if rows == "full":
+        table = full_ideal_table(curve, window)
+        run.emit(table.render_grid, table.render_csv, lambda: {
+            "row": "full",
+            "window": list(window),
+            "rows": {
+                f"h{i}": [[n, table.cell(i, n)] for n in range(window[0], window[1] + 1)]
+                for i in (3, 2, 1, 0)
+            },
+            "curve": _curve_json(curve),
+            "notes": list(table.notes),
+        })
         return EXIT_OK
-    curve = run.curve()
-    if rows == "section":
-        _emit_row(run, "section", section_table(curve, window), curve)
+    if rows == "ambient":
+        values = ambient_table(run.ambient(), window)
+    elif rows == "section":
+        values = section_table(curve, window)
     elif rows == "ideal":
-        _emit_row(run, "ideal", ideal_h0_table(curve, window), curve)
-    elif rows == "full":
-        _emit_full(run, full_ideal_table(curve, window), curve)
+        values = ideal_h0_table(curve, window)
     else:
         raise ValueError(f"unknown rows selection {rows!r}")
+
+    def record() -> dict:
+        payload = {"row": rows, "window": list(window),
+                   "values": [[n, values[n]] for n in sorted(values)]}
+        if curve is not None:
+            payload["curve"] = _curve_json(curve)
+        return payload
+
+    run.emit(lambda: render_value_row(values), lambda: render_value_csv(values), record)
     return EXIT_OK
 
 
@@ -207,17 +184,12 @@ def cmd_link(args: argparse.Namespace) -> int:
     degrees = run.int_list("ci")
     linkage = CILinkage(len(degrees) + 1, degrees)
     d2, g2 = ci_residual(run.int_of("degree"), run.int_of("genus"), linkage)
-    fmt = run.format()
-    if fmt == "text":
-        print(f"{d2} {g2}")
-    elif fmt == "csv":
-        print(f"degree,genus\n{d2},{g2}")
-    else:
-        print(json.dumps({"degree": d2, "genus": g2}))
+    run.emit(lambda: f"{d2} {g2}\n", lambda: f"degree,genus\n{d2},{g2}\n",
+             lambda: {"degree": d2, "genus": g2})
     return EXIT_OK
 
 
-def _unique_etype(run: _Run, curve: CurveClass, window: Window) -> ResolutionTriple:
+def _unique_etype(curve: CurveClass, window: Window) -> ResolutionTriple:
     middle, matches = etype_candidates(curve, match_window=window)
     if len(matches) != 1:
         print(
@@ -239,78 +211,62 @@ def cmd_resolve(args: argparse.Namespace) -> int:
         raise ValueError("resolutions are classified on the quadric threefold only")
     flavor = "etype" if args.etype else "ntype" if args.ntype else run.get("flavor")
     if flavor == "etype":
-        triple = _unique_etype(run, curve, window)
+        triple = _unique_etype(curve, window)
     elif flavor == "ntype":
         if run.get("via") is None:
             raise ValueError("--via A,B (divisor twists) is required for N-type")
         twists = run.int_list("via")
         if len(twists) != 2:
             raise ValueError("--via needs exactly two divisor twists")
-        a, b = twists
-        d2, g2 = ci_residual(curve.degree, curve.genus, CILinkage(4, (2, a, b)))
-        residual = CurveClass(QUADRIC3, d2, g2, acm=True)
-        etype = _unique_etype(run, residual, window)
-        triple = mapping_cone_n_from_e(etype, (a, b), window)
+        etype = _unique_etype(residual_curve(curve, *twists), window)
+        triple = mapping_cone_n_from_e(etype, twists, window)
     else:
         raise ValueError("choose a flavor: --etype or --ntype")
     report = resolution_consistency_check(triple, window)
-    fmt = run.format()
-    if fmt == "text":
-        print(triple.render())
-        print(report.render_text())
-    elif fmt == "csv":
-        print(report.render_csv(), end="")
-    else:
-        lo, hi = window
-        print(
-            json.dumps(
-                {
-                    "flavor": triple.flavor.value,
-                    "resolution": triple.render(),
-                    "kernel": triple.kernel.render(),
-                    "middle": triple.middle.render(),
-                    "curve": _curve_json(triple.curve),
-                    "consistency": {
-                        "ok": report.ok,
-                        "window": [lo, hi],
-                        "rank_diff": triple.rank_diff,
-                        "c1_diff": triple.c1_diff,
-                        "cells": [[c.twist, c.lhs, c.rhs, c.ok] for c in report.cells],
-                    },
-                }
-            )
-        )
+    run.emit(
+        lambda: f"{triple.render()}\n{report.render_text()}\n",
+        report.render_csv,
+        lambda: {
+            "flavor": triple.flavor.value,
+            "resolution": triple.render(),
+            "kernel": triple.kernel.render(),
+            "middle": triple.middle.render(),
+            "curve": _curve_json(triple.curve),
+            "consistency": {
+                "ok": report.ok,
+                "window": list(window),
+                "rank_diff": triple.rank_diff,
+                "c1_diff": triple.c1_diff,
+                "cells": [[c.twist, c.lhs, c.rhs, c.ok] for c in report.cells],
+            },
+        },
+    )
     return EXIT_OK if report.ok else EXIT_INCONSISTENT
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     run = _Run(args)
     results = run_reference_checks()
-    fmt = run.format()
-    if fmt == "text":
-        for r in results:
-            print(f"{r.status:<21}  {r.name}: {r.detail}")
-        counts = {"PASS": 0, "FAIL": 0, "EXPECTED-DISCREPANCY": 0}
-        for r in results:
-            counts[r.status] += 1
-        print(
-            f"{len(results)} checks: {counts['PASS']} pass, "
-            f"{counts['EXPECTED-DISCREPANCY']} expected-discrepancy, "
-            f"{counts['FAIL']} fail"
+
+    def text() -> str:
+        count = [r.status for r in results].count
+        lines = [f"{r.status:<21}  {r.name}: {r.detail}\n" for r in results]
+        return "".join(lines) + (
+            f"{len(results)} checks: {count('PASS')} pass, "
+            f"{count('EXPECTED-DISCREPANCY')} expected-discrepancy, "
+            f"{count('FAIL')} fail\n"
         )
-    elif fmt == "csv":
+
+    def csv_text() -> str:
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(["name", "status", "detail"])
-        for r in results:
-            writer.writerow([r.name, r.status, r.detail])
-        print(buffer.getvalue(), end="")
-    else:
-        print(
-            json.dumps(
-                [{"name": r.name, "status": r.status, "detail": r.detail} for r in results]
-            )
-        )
+        writer.writerows([r.name, r.status, r.detail] for r in results)
+        return buffer.getvalue()
+
+    run.emit(text, csv_text, lambda: [
+        {"name": r.name, "status": r.status, "detail": r.detail} for r in results
+    ])
     return EXIT_OK if all_ok(results) else EXIT_INCONSISTENT
 
 
@@ -394,9 +350,6 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE
-    except RangeTooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -410,3 +363,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def app() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    app()

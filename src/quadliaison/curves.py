@@ -1,9 +1,9 @@
 """Cohomology bookkeeping for ACM curves: section and ideal-sheaf tables,
 the four-row cohomology grid, regularity, and embedding obstructions.
 
-Conventions.  A curve class is (ambient, degree d, genus g) with the ACM
-flag meaning vanishing intermediate cohomology of the ideal sheaf.  For
-such curves the section counts are forced by Riemann-Roch:
+Conventions.  A curve class is (ambient, degree d, genus g) of an ACM
+curve, one whose ideal sheaf has no intermediate cohomology.  For such
+curves the section counts are forced by Riemann-Roch:
 
     h0(O_C(n)) = n*d + 1 - g   for n >= 1,   1 at n = 0,   0 for n < 0,
 
@@ -44,7 +44,6 @@ class CurveClass:
     ambient: Ambient
     degree: int
     genus: int
-    acm: bool = True
 
     def __post_init__(self) -> None:
         if self.degree < 1:
@@ -61,16 +60,8 @@ def rr_chi(degree: int, genus: int, twist: int) -> int:
     return twist * degree + 1 - genus
 
 
-def _require_acm(curve: CurveClass) -> None:
-    if not curve.acm:
-        raise ValueError(
-            "section counts are only determined for ACM curves"
-        )
-
-
 def curve_sections(curve: CurveClass, n: int) -> int:
     """h0(O_C(n)) for an ACM curve: nonspecial for n >= 1, connected at 0."""
-    _require_acm(curve)
     if n < 0:
         return 0
     if n == 0:
@@ -118,10 +109,6 @@ class CohomTable:
     def known_zero(self, i: int, n: int) -> bool:
         return self.cells.get((i, n)) == 0
 
-    def row(self, i: int) -> dict[int, int | None]:
-        lo, hi = self.window
-        return {n: self.cells[(i, n)] for n in range(lo, hi + 1)}
-
     def all_known_zero(self) -> bool:
         return all(v == 0 for v in self.cells.values())
 
@@ -152,12 +139,12 @@ def _align_columns(rows: list[list[str]]) -> str:
     return "\n".join(out) + "\n"
 
 
-def render_value_row(values: dict[int, int], label: str = "h0") -> str:
+def render_value_row(values: dict[int, int]) -> str:
     """One-row grid for a map twist -> count."""
     twists = sorted(values)
     rows = [
         [" n:"] + [str(n) for n in twists],
-        [f"{label}:"] + [str(values[n]) for n in twists],
+        ["h0:"] + [str(values[n]) for n in twists],
     ]
     return _align_columns(rows)
 
@@ -200,7 +187,6 @@ def full_ideal_table(curve: CurveClass, window: Window = DEFAULT_WINDOW) -> Coho
     ambient has no intermediate cohomology; row 3 equals h3 of the ambient
     twist because a curve has no cohomology above degree 1.
     """
-    _require_acm(curve)
     if not curve.ambient.is_quadric and curve.ambient.dim < 3:
         raise ValueError("full tables need an ambient of dimension >= 3")
     lo, hi = window
@@ -253,7 +239,7 @@ def acm_embedding_obstruction(degree: int, genus: int, ambient: Ambient) -> Feas
     n = 2*degree the ambient count (at least quadratic) dominates the
     linear section count, so the scan is finite.
     """
-    probe = CurveClass(ambient, degree, genus, acm=True)
+    probe = CurveClass(ambient, degree, genus)
     for n in range(1, 2 * degree + 1):
         if ambient.h0(n) - curve_sections(probe, n) < 0:
             return Feasibility(False, n)
@@ -264,10 +250,7 @@ def nonspecial_threshold(degree: int, genus: int) -> int:
     """Smallest n >= 1 with n*degree > 2*genus - 2."""
     if degree < 1:
         raise ValueError("degree must be positive")
-    n = 1
-    while n * degree <= 2 * genus - 2:
-        n += 1
-    return n
+    return max(1, (2 * genus - 2) // degree + 1)
 
 
 def plane_genus(degree: int) -> int:

@@ -1,10 +1,14 @@
-"""Exception hierarchy.
+"""Exception hierarchy and the CLI exit code of each class.
 
-InfeasibleError subclasses signal that a requested geometric configuration
-cannot exist (negative dimension counts, liaison producing impossible
-residual invariants).  InconsistencyError subclasses signal that arithmetic
-checks on a proposed resolution failed.  Both carry enough context to
-report the first offending twist.
+- InfeasibleError (exit 2): the requested configuration cannot exist.  The
+  liaison residual checks raise it directly with their message; its
+  subclass NegativeDimension names the first twist where a section count
+  of the curve's ideal or of a resolution kernel comes out negative.
+- InconsistencyError (exit 3): an arithmetic cross-check on a resolution
+  failed, or a kernel match is ambiguous.  Its subclass
+  MappingConeInconsistent names the first failing twist of a mapping cone.
+- RangeTooLarge (exit 1, a ValueError like every other usage error): an
+  enumeration would exceed the candidate cap.
 """
 
 from __future__ import annotations
@@ -30,43 +34,6 @@ class NegativeDimension(InfeasibleError):
         )
 
 
-class ResidualNegativeDegree(InfeasibleError):
-    """Liaison produced a residual curve of nonpositive degree."""
-
-    def __init__(self, degree: int, message: str | None = None):
-        self.degree = degree
-        super().__init__(message or f"residual degree {degree} is not positive")
-
-
-class ResidualNegativeGenus(InfeasibleError):
-    """Liaison produced a residual curve of negative genus."""
-
-    def __init__(self, genus: int, message: str | None = None):
-        self.genus = genus
-        super().__init__(message or f"residual genus {genus} < 0")
-
-
-class NonIntegralGenus(InfeasibleError):
-    """The liaison genus formula did not produce an integer."""
-
-    def __init__(self, numerator: int, message: str | None = None):
-        self.numerator = numerator
-        super().__init__(
-            message or f"genus formula gave non-integer value {numerator}/2"
-        )
-
-
-class NegativeKernelDimension(InfeasibleError):
-    """A kernel-bundle section count came out negative at some twist."""
-
-    def __init__(self, twist: int, value: int, message: str | None = None):
-        self.twist = twist
-        self.value = value
-        super().__init__(
-            message or f"kernel section count {value} < 0 at twist {twist}"
-        )
-
-
 class InconsistencyError(QLError):
     """An arithmetic cross-check on a resolution failed."""
 
@@ -84,12 +51,10 @@ class MappingConeInconsistent(InconsistencyError):
         )
 
 
-class RangeTooLarge(QLError):
+class RangeTooLarge(QLError, ValueError):
     """An enumeration would exceed the hard candidate cap."""
 
-    def __init__(self, count: int, cap: int, message: str | None = None):
+    def __init__(self, count: int, cap: int):
         self.count = count
         self.cap = cap
-        super().__init__(
-            message or f"enumeration of {count} candidates exceeds cap {cap}"
-        )
+        super().__init__(f"enumeration of {count} candidates exceeds cap {cap}")

@@ -21,12 +21,7 @@ from enum import Enum
 from math import prod
 
 from .curves import DEFAULT_WINDOW, CurveClass, Window, ideal_h0
-from .errors import (
-    MappingConeInconsistent,
-    NonIntegralGenus,
-    ResidualNegativeDegree,
-    ResidualNegativeGenus,
-)
+from .errors import InfeasibleError, MappingConeInconsistent
 from .sheaves import AtomKind, SheafExpr, line_bundle
 
 
@@ -70,15 +65,15 @@ def ci_residual(degree: int, genus: int, linkage: CILinkage) -> tuple[int, int]:
     complete intersection; raises when the residual invariants are impossible."""
     residual_degree = linkage.total_degree - degree
     if residual_degree <= 0:
-        raise ResidualNegativeDegree(residual_degree)
+        raise InfeasibleError(f"residual degree {residual_degree} is not positive")
     drop_twice = (sum(linkage.degrees) - linkage.ambient_dim - 1) * (
         degree - residual_degree
     )
     if drop_twice % 2:
-        raise NonIntegralGenus(drop_twice)
+        raise InfeasibleError(f"genus formula gave non-integer value {drop_twice}/2")
     residual_genus = genus - drop_twice // 2
     if residual_genus < 0:
-        raise ResidualNegativeGenus(residual_genus)
+        raise InfeasibleError(f"residual genus {residual_genus} < 0")
     return (residual_degree, residual_genus)
 
 
@@ -218,11 +213,12 @@ def _checked(res: ResolutionTriple, window: Window) -> ResolutionTriple:
     )
 
 
-def _residual_curve(curve: CurveClass, a: int, b: int) -> CurveClass:
+def residual_curve(curve: CurveClass, a: int, b: int) -> CurveClass:
+    """The curve linked to ``curve`` on Q by divisors O_Q(a), O_Q(b)."""
     if not curve.ambient.is_quadric:
         raise ValueError("mapping cones over divisor pairs live on the quadric")
     d2, g2 = ci_residual(curve.degree, curve.genus, quadric_linkage(a, b))
-    return CurveClass(curve.ambient, d2, g2, acm=True)
+    return CurveClass(curve.ambient, d2, g2)
 
 
 def mapping_cone_n_from_e(
@@ -239,7 +235,7 @@ def mapping_cone_n_from_e(
     if res.flavor is not ResolutionFlavor.E_TYPE:
         raise ValueError("input resolution must be E-type")
     a, b = divisor_twists
-    curve2 = _residual_curve(res.curve, a, b)
+    curve2 = residual_curve(res.curve, a, b)
     s = a + b
     kernel2 = res.middle.dual().twist(-s)
     middle2 = res.kernel.dual().twist(-s) + line_bundle(-a) + line_bundle(-b)
@@ -256,7 +252,7 @@ def mapping_cone_e_from_n(
     if res.flavor is not ResolutionFlavor.N_TYPE:
         raise ValueError("input resolution must be N-type")
     a, b = divisor_twists
-    curve2 = _residual_curve(res.curve, a, b)
+    curve2 = residual_curve(res.curve, a, b)
     s = a + b
     stripped = res.middle.without(line_bundle(-a) + line_bundle(-b))
     kernel2 = stripped.dual().twist(-s)

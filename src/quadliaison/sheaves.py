@@ -170,9 +170,6 @@ class SheafExpr:
             counts[atom] = have - mult
         return SheafExpr(tuple(counts.items()), self.ambient)
 
-    def atom_count(self) -> int:
-        return sum(mult for _, mult in self.atoms)
-
     def render(self) -> str:
         if self.is_zero:
             return "0"

@@ -10,7 +10,7 @@ from quadliaison import (
     P4,
     QUADRIC3,
     RangeTooLarge,
-    NegativeKernelDimension,
+    NegativeDimension,
     ResolutionTriple,
     ResolutionFlavor,
     enumerate_rank4_candidates,
@@ -83,9 +83,10 @@ def test_default_bounds_are_modest():
 
 def test_enumeration_rejects_oversized_ranges():
     with pytest.raises(RangeTooLarge) as info:
-        enumerate_rank4_candidates(-6, 3, cap=100)
-    assert info.value.count == 1320
-    assert info.value.cap == 100
+        enumerate_rank4_candidates(-16, 3)
+    assert info.value.count == 13265 == rank4_candidate_count(-16, 3)
+    assert info.value.cap == CANDIDATE_CAP
+    assert isinstance(info.value, ValueError)
 
 
 def test_enumeration_rejects_empty_range():
@@ -128,7 +129,7 @@ def test_kernel_table_from_resolution():
 
 def test_kernel_table_reports_deficient_middle():
     # a single O(-2) has too few sections to surject onto the ideal
-    with pytest.raises(NegativeKernelDimension) as info:
+    with pytest.raises(NegativeDimension) as info:
         kernel_table_from_resolution(C84, line_bundle(-2))
     assert info.value.twist == 3
     assert info.value.value == 5 - ideal_h0(C84, 3)

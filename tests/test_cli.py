@@ -5,6 +5,9 @@ golden files under tests/golden/ pin the exact bytes each command prints.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -215,6 +218,19 @@ def test_verify_csv_golden(capsys):
     code, out, _ = run(capsys, "verify", "--format", "csv")
     assert code == EXIT_OK
     assert out == golden("verify.csv")
+
+
+@pytest.mark.parametrize("module", ["quadliaison", "quadliaison.cli"])
+def test_python_m_runs_the_cli(module):
+    src = str(Path(__file__).parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "verify"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+    assert proc.stdout == golden("verify.txt")
 
 
 def test_verify_output_is_deterministic(capsys):
