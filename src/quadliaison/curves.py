@@ -14,6 +14,7 @@ NegativeDimension.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .ambient import Ambient
@@ -237,13 +238,32 @@ def acm_embedding_obstruction(degree: int, genus: int, ambient: Ambient) -> Feas
     Infeasible(n) when h0(O_ambient(n)) < h0(O_C(n)) at some twist; a
     Feasible verdict asserts nothing beyond passing this test.  Past
     n = 2*degree the ambient count (at least quadratic) dominates the
-    linear section count, so the scan is finite.
+    linear section count, so only twists in [1, 2*degree] are examined,
+    and the witness n is the first of them with a negative slack.
+
+    The slack s(n) = h0(O_ambient(n)) - (n*degree + 1 - genus) is convex
+    on n >= 1: its step s(n+1) - s(n) = h0(O(n+1)) - h0(O(n)) - degree
+    increases with n on every supported ambient (it is C(m+n, m-1) - degree
+    on P^m with m >= 2, and (n+2)^2 - degree on the quadric).  So s falls
+    strictly until its first nonnegative step and never falls after it.
+    One bisection finds that first step, which is where s is least; if s
+    is negative there, a second bisection over the strictly falling part
+    finds the first negative twist.  Both take O(log degree) evaluations.
     """
     probe = CurveClass(ambient, degree, genus)
-    for n in range(1, 2 * degree + 1):
-        if ambient.h0(n) - curve_sections(probe, n) < 0:
-            return Feasibility(False, n)
-    return Feasibility(True, None)
+
+    def slack(n: int) -> int:
+        return ambient.h0(n) - curve_sections(probe, n)
+
+    twists = range(1, 2 * degree + 1)
+    lowest = twists[bisect_left(
+        twists, True, key=lambda n: ambient.h0(n + 1) - ambient.h0(n) >= degree
+    )]
+    if slack(lowest) >= 0:
+        return Feasibility(True, None)
+    falling = twists[:lowest]
+    witness = falling[bisect_left(falling, True, key=lambda n: slack(n) < 0)]
+    return Feasibility(False, witness)
 
 
 def nonspecial_threshold(degree: int, genus: int) -> int:

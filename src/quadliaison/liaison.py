@@ -66,11 +66,11 @@ def ci_residual(degree: int, genus: int, linkage: CILinkage) -> tuple[int, int]:
     residual_degree = linkage.total_degree - degree
     if residual_degree <= 0:
         raise InfeasibleError(f"residual degree {residual_degree} is not positive")
+    # Always even: degree - residual_degree = 2*degree - prod(e_i) is odd
+    # only when every e_i is odd, and then sum(e_i) - m - 1 is even.
     drop_twice = (sum(linkage.degrees) - linkage.ambient_dim - 1) * (
         degree - residual_degree
     )
-    if drop_twice % 2:
-        raise InfeasibleError(f"genus formula gave non-integer value {drop_twice}/2")
     residual_genus = genus - drop_twice // 2
     if residual_genus < 0:
         raise InfeasibleError(f"residual genus {residual_genus} < 0")

@@ -2,9 +2,11 @@
 
 Oracles: section counts recombine with ideal counts to the ambient
 count; the genus spectrum on the quadric surface is brute-forced over
-bidegrees; the nonspecialty threshold is rederived by direct scan.
+bidegrees; the nonspecialty threshold and the embedding obstruction are
+rederived by direct scan.
 """
 
+import math
 import random
 
 import pytest
@@ -14,8 +16,10 @@ from quadliaison import (
     P3,
     P4,
     QUADRIC3,
+    Ambient,
     CohomTable,
     CurveClass,
+    Feasibility,
     NegativeDimension,
     acm_embedding_obstruction,
     ambient_table,
@@ -26,6 +30,7 @@ from quadliaison import (
     nonspecial_threshold,
     parse_window,
     plane_genus,
+    proj_space,
     quadric_surface_genus_spectrum,
     regularity,
     render_value_csv,
@@ -53,6 +58,20 @@ def brute_threshold(degree: int, genus: int) -> int:
     while not n * degree > 2 * genus - 2:
         n += 1
     return n
+
+
+def brute_obstruction(degree: int, genus: int, ambient: Ambient) -> Feasibility:
+    """The first n in [1, 2*degree] with h0(O_ambient(n)) < n*degree + 1 - genus."""
+    for n in range(1, 2 * degree + 1):
+        if ambient.h0(n) < rr_chi(degree, genus, n):
+            return Feasibility(False, n)
+    return Feasibility(True, None)
+
+
+def brute_min_genus(degree: int, ambient: Ambient) -> int:
+    """The least genus the scan accepts at this degree."""
+    twists = range(1, 2 * degree + 1)
+    return max(0, *(rr_chi(degree, 0, n) - ambient.h0(n) for n in twists))
 
 
 def test_rr_chi():
@@ -183,6 +202,40 @@ def test_obstructions():
                 assert verdict.feasible == table_feasible
                 if not ambient.is_quadric and ambient.h0(1) < rr_chi(d, g, 1):
                     assert not verdict.feasible
+
+
+def test_obstruction_matches_scan_on_random_classes():
+    rng = random.Random(234)
+    ambients = (P2, P3, P4, proj_space(5), QUADRIC3)
+    degrees = list(range(1, 25)) + [2_000, 3_000]
+    degrees += [rng.randint(25, 10 ** rng.randint(2, 3)) for _ in range(12)]
+    for ambient in ambients:
+        for d in degrees:
+            g_min = brute_min_genus(d, ambient)
+            genera = {0, g_min, max(0, g_min - 1), g_min + 1, d * d}
+            genera.add(rng.randint(0, d * d))
+            for g in genera:
+                verdict = acm_embedding_obstruction(d, g, ambient)
+                assert verdict == brute_obstruction(d, g, ambient), (ambient, d, g)
+                assert verdict.feasible == (g >= g_min), (ambient, d, g)
+
+
+def test_obstruction_work_is_logarithmic_in_degree(monkeypatch):
+    calls = []
+    h0 = Ambient.h0
+
+    def counted(self, k):
+        calls.append(k)
+        return h0(self, k)
+
+    monkeypatch.setattr(Ambient, "h0", counted)
+    d, g = 2 * 10**6, 10**12
+    budget = 4 * math.ceil(math.log2(2 * d)) + 4
+    for ambient in (P2, P3, P4, QUADRIC3):
+        for genus in (0, g):
+            calls.clear()
+            acm_embedding_obstruction(d, genus, ambient)
+            assert 0 < len(calls) <= budget, (ambient, genus, len(calls))
 
 
 def test_nonspecial_threshold():

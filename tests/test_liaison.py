@@ -6,6 +6,8 @@ formula with an independently computed total degree.
 """
 
 import random
+from itertools import combinations_with_replacement
+from math import prod
 
 import pytest
 
@@ -95,6 +97,21 @@ def test_ci_residual_involution_and_sign_symmetry():
         drop_twice = (sum(degrees) - dim - 1) * (d - d2)
         assert drop_twice % 2 == 0
         assert g - g2 == drop_twice // 2
+
+
+def test_ci_residual_genus_drop_is_always_integral():
+    for dim in (3, 4, 5):
+        for degrees in combinations_with_replacement(range(1, 6), dim - 1):
+            linkage = CILinkage(dim, degrees)
+            for d in range(1, prod(degrees) + 2):
+                drop_twice = (sum(degrees) - dim - 1) * (2 * d - prod(degrees))
+                assert drop_twice % 2 == 0, (dim, degrees, d)
+                g = abs(drop_twice)
+                if d >= prod(degrees):
+                    with pytest.raises(InfeasibleError, match="residual degree"):
+                        ci_residual(d, g, linkage)
+                else:
+                    assert 2 * (g - ci_residual(d, g, linkage)[1]) == drop_twice
 
 
 def test_resolution_render():
