@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .hilbert import h0_proj, h0_quadric3
+from .hilbert import h0_proj, h0_proj_row, h0_quadric3, h0_quadric3_row
 
 
 @dataclass(frozen=True)
@@ -37,6 +37,12 @@ class Ambient:
         if self.is_quadric:
             return h0_quadric3(k)
         return h0_proj(self.dim, k)
+
+    def h0_row(self, lo: int, hi: int) -> list[int]:
+        """``[self.h0(k) for k in range(lo, hi + 1)]``, computed row-wise."""
+        if self.is_quadric:
+            return h0_quadric3_row(lo, hi)
+        return h0_proj_row(self.dim, lo, hi)
 
     def label(self) -> str:
         return "quadric3" if self.is_quadric else f"p{self.dim}"

@@ -130,7 +130,16 @@ class _Run:
         renderers = {"text": text, "csv": csv, "json": lambda: json.dumps(record()) + "\n"}
         if fmt not in renderers:
             raise ValueError(f"unknown format {fmt!r}")
-        print(renderers[fmt](), end="")
+        try:
+            output = renderers[fmt]()
+        except ValueError:
+            # The renderers raise nothing of their own; this is Python's cap
+            # on int-to-text conversion, kept because it also bounds argv.
+            raise ValueError(
+                f"a value to print has more than {sys.get_int_max_str_digits()} digits; "
+                "narrow the window or the twists"
+            ) from None
+        print(output, end="")
 
 
 def _curve_json(curve: CurveClass) -> dict:

@@ -9,25 +9,39 @@ curves the section counts are forced by Riemann-Roch:
 
 and h0(I_C(n)) = h0(O_ambient(n)) - h0(O_C(n)).  A negative value there is
 not clamped: it proves no such ACM curve exists and raises
-NegativeDimension.
+NegativeDimension at the first negative twist of the window.
+
+Tables are built a row at a time from these closed forms, not a twist at
+a time: the ambient row maps math.comb over the twists, the section row is
+an arithmetic progression and the ideal row is their difference.  In the
+full table the h1 row is zero, the h2 row is runs split at n = 0 and at
+the nonspecial threshold, and the h3 row is an ambient row read backwards
+(Serre duality).  Both grid renderers share one column aligner, and both
+CSV renderers one joiner.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import repeat
+from operator import sub
 
 from .ambient import Ambient
 from .errors import NegativeDimension
-from .hilbert import h0_proj, h0_quadric3
 
 Window = tuple[int, int]
 
 DEFAULT_WINDOW: Window = (-1, 8)
 
+#: Widest window, in twists, that ``parse_window`` accepts.  Windows passed
+#: to the table functions as tuples are not capped.
+MAX_WINDOW_TWISTS = 10_000
+
 
 def parse_window(text: str) -> Window:
-    """Parse ``lo:hi`` into an inclusive twist window."""
+    """Parse ``lo:hi`` into an inclusive twist window of at most
+    MAX_WINDOW_TWISTS twists."""
     parts = text.split(":")
     if len(parts) != 2:
         raise ValueError(f"window must be lo:hi, got {text!r}")
@@ -37,6 +51,10 @@ def parse_window(text: str) -> Window:
         raise ValueError(f"window must be lo:hi with integers, got {text!r}") from None
     if lo > hi:
         raise ValueError(f"empty window {text!r}")
+    if hi - lo + 1 > MAX_WINDOW_TWISTS:
+        raise ValueError(
+            f"window {text!r} spans {hi - lo + 1} twists; at most {MAX_WINDOW_TWISTS} are allowed"
+        )
     return (lo, hi)
 
 
@@ -72,7 +90,17 @@ def curve_sections(curve: CurveClass, n: int) -> int:
 
 def section_table(curve: CurveClass, window: Window = DEFAULT_WINDOW) -> dict[int, int]:
     lo, hi = window
-    return {n: curve_sections(curve, n) for n in range(lo, hi + 1)}
+    return dict(zip(range(lo, hi + 1), _section_row(curve, lo, hi)))
+
+
+def _section_row(curve: CurveClass, lo: int, hi: int) -> list[int]:
+    """``curve_sections`` for n = lo..hi: zeros, 1 at n = 0, then a step of d."""
+    d, g = curve.degree, curve.genus
+    row = [0] * (min(hi, -1) - lo + 1)
+    if lo <= 0 <= hi:
+        row.append(1)
+    row += range(max(lo, 1) * d + 1 - g, hi * d + 2 - g, d)
+    return row
 
 
 def ideal_h0(curve: CurveClass, n: int) -> int:
@@ -82,14 +110,39 @@ def ideal_h0(curve: CurveClass, n: int) -> int:
     return value
 
 
+def _ideal_row(curve: CurveClass, lo: int, hi: int) -> list[int]:
+    """``ideal_h0`` for n = lo..hi; raises at the first negative twist.
+
+    A count can only be negative at 1 <= n <= 2d (past 2d the ambient
+    count outgrows the sections, see acm_embedding_obstruction), so that
+    part of the window is built and checked first.
+    """
+    cut = min(hi, 2 * curve.degree)
+    row = _difference_row(curve, lo, cut)
+    if min(row, default=0) < 0:
+        first = next(i for i, value in enumerate(row) if value < 0)
+        raise NegativeDimension(lo + first, row[first])
+    if cut < hi:
+        row += _difference_row(curve, max(lo, cut + 1), hi)
+    return row
+
+
+def _difference_row(curve: CurveClass, lo: int, hi: int) -> list[int]:
+    return list(map(sub, curve.ambient.h0_row(lo, hi), _section_row(curve, lo, hi)))
+
+
 def ideal_h0_table(curve: CurveClass, window: Window = DEFAULT_WINDOW) -> dict[int, int]:
     lo, hi = window
-    return {n: ideal_h0(curve, n) for n in range(lo, hi + 1)}
+    return dict(zip(range(lo, hi + 1), _ideal_row(curve, lo, hi)))
 
 
 def ambient_table(ambient: Ambient, window: Window = DEFAULT_WINDOW) -> dict[int, int]:
     lo, hi = window
-    return {n: ambient.h0(n) for n in range(lo, hi + 1)}
+    return dict(zip(range(lo, hi + 1), ambient.h0_row(lo, hi)))
+
+
+# Rows of a cohomology grid, top to bottom, as the renderers print them.
+_GRID_ROWS = (3, 2, 1, 0)
 
 
 @dataclass(frozen=True)
@@ -113,72 +166,80 @@ class CohomTable:
     def all_known_zero(self) -> bool:
         return all(v == 0 for v in self.cells.values())
 
-    def render_grid(self) -> str:
+    def _text_rows(self) -> tuple[list[str], list[list[str]]]:
+        """The twists, and the rows h3..h0 as printed: ``?`` for an unknown cell."""
         lo, hi = self.window
-        twists = list(range(lo, hi + 1))
-        rows = [[" n:"] + [str(n) for n in twists]]
-        for i in (3, 2, 1, 0):
-            cells = [self.cells[(i, n)] for n in twists]
-            rows.append([f"h{i}:"] + ["?" if v is None else str(v) for v in cells])
-        return _align_columns(rows)
+        twists = range(lo, hi + 1)
+        cells = self.cells
+        rows = [
+            ["?" if v is None else str(v) for v in map(cells.__getitem__, zip(repeat(i), twists))]
+            for i in _GRID_ROWS
+        ]
+        return list(map(str, twists)), rows
+
+    def render_grid(self) -> str:
+        twists, rows = self._text_rows()
+        return _align_columns(
+            [[" n:", *twists]] + [[f"h{i}:", *row] for i, row in zip(_GRID_ROWS, rows)]
+        )
 
     def render_csv(self) -> str:
-        lo, hi = self.window
-        lines = ["i,n,value"]
-        for i in (3, 2, 1, 0):
-            for n in range(lo, hi + 1):
-                v = self.cells[(i, n)]
-                lines.append(f"{i},{n},{'?' if v is None else v}")
-        return "\n".join(lines) + "\n"
+        twists, rows = self._text_rows()
+        return _csv("i,n,value", [
+            f"{i},{n},{v}" for i, row in zip(_GRID_ROWS, rows) for n, v in zip(twists, row)
+        ])
 
 
 def _align_columns(rows: list[list[str]]) -> str:
-    widths = [max(len(row[j]) for row in rows) for j in range(len(rows[0]))]
-    out = []
-    for row in rows:
-        out.append("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
-    return "\n".join(out) + "\n"
+    widths = list(map(max, *(map(len, row) for row in rows)))
+    return "\n".join(["  ".join(map(str.rjust, row, widths)) for row in rows]) + "\n"
+
+
+def _csv(header: str, lines: list[str]) -> str:
+    return "\n".join([header, *lines]) + "\n"
 
 
 def render_value_row(values: dict[int, int]) -> str:
     """One-row grid for a map twist -> count."""
     twists = sorted(values)
-    rows = [
-        [" n:"] + [str(n) for n in twists],
-        ["h0:"] + [str(values[n]) for n in twists],
-    ]
-    return _align_columns(rows)
+    return _align_columns([
+        [" n:", *map(str, twists)],
+        ["h0:", *map(str, map(values.__getitem__, twists))],
+    ])
 
 
 def render_value_csv(values: dict[int, int]) -> str:
-    lines = ["n,value"]
-    for n in sorted(values):
-        lines.append(f"{n},{values[n]}")
-    return "\n".join(lines) + "\n"
+    return _csv("n,value", [f"{n},{values[n]}" for n in sorted(values)])
 
 
-def _h1_curve(curve: CurveClass, n: int) -> int | None:
-    """h1(O_C(n)); None where duality plus nonspecialty say nothing."""
+def _h1_curve_row(curve: CurveClass, lo: int, hi: int) -> list[int | None]:
+    """h1(O_C(n)) for n = lo..hi; None where duality plus nonspecialty say nothing.
+
+    Below 0 it is g - 1 - n*d (chi = nd+1-g and h0(O_C(n)) = 0 for an
+    integral curve), g at 0, unknown up to the nonspecial threshold and 0
+    from there on.
+    """
     d, g = curve.degree, curve.genus
-    if n < 0:
-        # chi = nd+1-g and h0(O_C(n)) = 0 for an integral curve.
-        return g - 1 - n * d
-    if n == 0:
-        return g
-    if n * d > 2 * g - 2:
-        return 0
-    return None
+    threshold = _nonspecial(d, g)
+    row: list[int | None] = list(range(g - 1 - lo * d, g - 1 - (min(hi, -1) + 1) * d, -d))
+    if lo <= 0 <= hi:
+        row.append(g)
+    row += [None] * (min(hi, threshold - 1) - max(lo, 1) + 1)
+    row += [0] * (hi - max(lo, threshold) + 1)
+    return row
 
 
-def _h3_ambient(ambient: Ambient, n: int) -> int:
-    """h3(O_ambient(n)), which equals h3(I_C(n)) for any curve C."""
-    if ambient.is_quadric:
-        # omega_Q = O_Q(-3)
-        return h0_quadric3(-3 - n)
-    if ambient.dim == 3:
-        return h0_proj(3, -4 - n)
-    # On P^m with m >= 4 the only cohomology of O(n) sits in degrees 0 and m.
-    return 0
+def _h3_ambient_row(ambient: Ambient, lo: int, hi: int) -> list[int]:
+    """h3(O_ambient(n)) for n = lo..hi, which equals h3(I_C(n)) for any curve C.
+
+    On a threefold Serre duality gives h0(O(k - n)) with omega = O(k):
+    k = -3 on the quadric, -4 on P3.  On P^m with m >= 4 the only
+    cohomology of O(n) sits in degrees 0 and m.
+    """
+    if ambient.dim != 3:
+        return [0] * (hi - lo + 1)
+    k = -3 if ambient.is_quadric else -4
+    return ambient.h0_row(k - hi, k - lo)[::-1]
 
 
 def full_ideal_table(curve: CurveClass, window: Window = DEFAULT_WINDOW) -> CohomTable:
@@ -191,12 +252,18 @@ def full_ideal_table(curve: CurveClass, window: Window = DEFAULT_WINDOW) -> Coho
     if not curve.ambient.is_quadric and curve.ambient.dim < 3:
         raise ValueError("full tables need an ambient of dimension >= 3")
     lo, hi = window
+    rows = zip(
+        range(lo, hi + 1),
+        _ideal_row(curve, lo, hi),
+        _h1_curve_row(curve, lo, hi),
+        _h3_ambient_row(curve.ambient, lo, hi),
+    )
     cells: dict[tuple[int, int], int | None] = {}
-    for n in range(lo, hi + 1):
-        cells[(0, n)] = ideal_h0(curve, n)
+    for n, h0, h2, h3 in rows:
+        cells[(0, n)] = h0
         cells[(1, n)] = 0
-        cells[(2, n)] = _h1_curve(curve, n)
-        cells[(3, n)] = _h3_ambient(curve.ambient, n)
+        cells[(2, n)] = h2
+        cells[(3, n)] = h3
     notes = ()
     if lo < 0:
         notes = ("negative-twist h2 cells assume an integral curve",)
@@ -270,6 +337,10 @@ def nonspecial_threshold(degree: int, genus: int) -> int:
     """Smallest n >= 1 with n*degree > 2*genus - 2."""
     if degree < 1:
         raise ValueError("degree must be positive")
+    return _nonspecial(degree, genus)
+
+
+def _nonspecial(degree: int, genus: int) -> int:
     return max(1, (2 * genus - 2) // degree + 1)
 
 

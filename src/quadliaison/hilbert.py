@@ -9,6 +9,8 @@ quadric.  Python integers are unbounded, so there is no overflow regime.
 from __future__ import annotations
 
 import math
+from itertools import repeat
+from operator import sub
 
 #: rank of the indecomposable rank-2 ACM bundle E0 on the quadric threefold
 SPINOR_RANK = 2
@@ -40,6 +42,14 @@ def h0_proj(dim: int, k: int) -> int:
     return math.comb(dim + k, dim)
 
 
+def h0_proj_row(dim: int, lo: int, hi: int) -> list[int]:
+    """``h0_proj(dim, k)`` for k = lo..hi, as one map of ``math.comb``."""
+    row = [0] * (min(hi, -1) - lo + 1)
+    if hi >= 0:
+        row += map(math.comb, range(max(lo, 0) + dim, hi + dim + 1), repeat(dim))
+    return row
+
+
 def h0_quadric3(k: int) -> int:
     """Sections of O(k) on the smooth quadric threefold in P^4.
 
@@ -49,6 +59,16 @@ def h0_quadric3(k: int) -> int:
     if k < 0:
         return 0
     return math.comb(k + 4, 4) - math.comb(k + 2, 4)
+
+
+def h0_quadric3_row(lo: int, hi: int) -> list[int]:
+    """``h0_quadric3(k)`` for k = lo..hi: the row of C(k+4, 4) minus that of C(k+2, 4)."""
+    row = [0] * (min(hi, -1) - lo + 1)
+    if hi >= 0:
+        start = max(lo, 0)
+        row += map(sub, map(math.comb, range(start + 4, hi + 5), repeat(4)),
+                   map(math.comb, range(start + 2, hi + 3), repeat(4)))
+    return row
 
 
 def h0_spinor(k: int) -> int:

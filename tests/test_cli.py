@@ -21,6 +21,7 @@ from quadliaison.cli import (
     load_scenario,
     main,
 )
+from quadliaison.curves import MAX_WINDOW_TWISTS
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -266,6 +267,46 @@ def test_bad_window_exits_1(capsys):
     )
     assert code == EXIT_USAGE
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("source", ["flag", "scenario", "env"])
+def test_window_width_is_capped_from_every_source(source, monkeypatch, tmp_path, capsys):
+    """MAX_WINDOW_TWISTS twists print; one more is a usage error, however given."""
+    argv = ["table", "--ambient", "q", "-d", "8", "-g", "4", "--rows", "section"]
+
+    def table(window):
+        if source == "flag":
+            return run(capsys, *argv, f"--window={window}")
+        if source == "scenario":
+            path = tmp_path / "wide.ql"
+            path.write_text(f"window={window}\n")
+            return run(capsys, *argv, "--scenario", str(path))
+        monkeypatch.setenv("QL_WINDOW", window)
+        return run(capsys, *argv)
+
+    code, out, err = table(f"1:{MAX_WINDOW_TWISTS}")
+    assert code == EXIT_OK and err == ""
+    assert out.split("\n")[0].split()[-1] == str(MAX_WINDOW_TWISTS)
+    code, out, err = table(f"-{MAX_WINDOW_TWISTS}:0")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == (
+        f"error: window '-{MAX_WINDOW_TWISTS}:0' spans {MAX_WINDOW_TWISTS + 1} twists; "
+        f"at most {MAX_WINDOW_TWISTS} are allowed\n"
+    )
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_value_too_long_to_print_is_a_readable_usage_error(fmt, capsys):
+    # C(10^12 + 500, 500) has about 6,000 digits, past Python's 4,300
+    code, out, err = run(
+        capsys, "table", "--ambient", "p500", "-d", "1", "-g", "0", "--rows", "ambient",
+        "--window=1000000000000:1000000000000", "--format", fmt,
+    )
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == (
+        f"error: a value to print has more than {sys.get_int_max_str_digits()} digits; "
+        "narrow the window or the twists\n"
+    )
 
 
 def test_scenario_file_supplies_defaults(tmp_path, capsys):

@@ -14,6 +14,7 @@ import random
 import pytest
 
 from quadliaison.cli import main
+from quadliaison.curves import MAX_WINDOW_TWISTS
 
 SEED = 4
 DRAWS = 300
@@ -127,3 +128,38 @@ def test_fuzzed_argv_ends_in_a_documented_exit(scenario_paths, capsys, monkeypat
         answered += rc != 1
     # enough draws get past argument checking to exercise the computations
     assert answered * 3 >= DRAWS, answered
+
+
+def test_fuzzed_windows_past_the_cap_exit_1(tmp_path, capsys, monkeypatch):
+    """A window wider than MAX_WINDOW_TWISTS, from the flag, a scenario or
+    QL_WINDOW, ends a table or resolve call in exit 1 before any work."""
+    rng = random.Random(SEED)
+    capped = 0
+    for k in range(60):
+        command = rng.choice(("table", "resolve"))
+        argv = [command]
+        for name, pool in GRAMMAR[command].items():
+            if rng.random() < 0.9:
+                argv.append(f"{name}={_pick(rng, pool)}")
+        if command == "resolve":
+            argv.append(rng.choice(("--etype", "--ntype")))
+        lo = rng.randint(-10**12, 10**12)
+        span = rng.choice((MAX_WINDOW_TWISTS, rng.randint(MAX_WINDOW_TWISTS, 10**12)))
+        window = f"{lo}:{lo + span}"
+        source = rng.choice(("flag", "scenario", "env"))
+        monkeypatch.delenv("QL_WINDOW", raising=False)
+        if source == "flag":
+            argv.append(f"--window={window}")
+        elif source == "scenario":
+            path = tmp_path / f"wide{k}.scn"
+            path.write_text(f"window={window}\n", encoding="utf-8")
+            argv += ["--scenario", str(path)]
+        else:
+            monkeypatch.setenv("QL_WINDOW", window)
+        rc = main(argv)
+        out, err = capsys.readouterr()
+        assert (rc, out) == (1, ""), argv
+        assert err.startswith(("error:", "usage:")) and "Traceback" not in err, argv
+        capped += "are allowed" in err
+    # most draws reach the window check rather than failing on another flag
+    assert capped * 2 >= 60, capped

@@ -3,7 +3,9 @@
 Oracles: section counts recombine with ideal counts to the ambient
 count; the genus spectrum on the quadric surface is brute-forced over
 bidegrees; the nonspecialty threshold and the embedding obstruction are
-rederived by direct scan.
+rederived by direct scan; the row-at-a-time tables and their renderers
+are compared with the twist-at-a-time builders and renderers they
+replaced, kept below.
 """
 
 import math
@@ -38,6 +40,8 @@ from quadliaison import (
     rr_chi,
     section_table,
 )
+from quadliaison import curves, h0_proj, h0_quadric3
+from quadliaison.curves import MAX_WINDOW_TWISTS
 
 C84_P4 = CurveClass(P4, 8, 4)
 C84_Q = CurveClass(QUADRIC3, 8, 4)
@@ -72,6 +76,79 @@ def brute_min_genus(degree: int, ambient: Ambient) -> int:
     """The least genus the scan accepts at this degree."""
     twists = range(1, 2 * degree + 1)
     return max(0, *(rr_chi(degree, 0, n) - ambient.h0(n) for n in twists))
+
+
+# -- the twist-at-a-time builders and renderers, kept as the oracle ---------
+
+
+def old_sections(curve, n):
+    return 0 if n < 0 else 1 if n == 0 else rr_chi(curve.degree, curve.genus, n)
+
+
+def old_ideal(curve, n):
+    value = curve.ambient.h0(n) - old_sections(curve, n)
+    if value < 0:
+        raise NegativeDimension(n, value)
+    return value
+
+
+def old_h1_curve(curve, n):
+    d, g = curve.degree, curve.genus
+    if n < 0:
+        return g - 1 - n * d
+    if n == 0:
+        return g
+    return 0 if n * d > 2 * g - 2 else None
+
+
+def old_h3_ambient(ambient, n):
+    if ambient.is_quadric:
+        return h0_quadric3(-3 - n)
+    return h0_proj(3, -4 - n) if ambient.dim == 3 else 0
+
+
+def old_full_cells(curve, window):
+    cells = {}
+    for n in range(window[0], window[1] + 1):
+        cells[(0, n)] = old_ideal(curve, n)
+        cells[(1, n)] = 0
+        cells[(2, n)] = old_h1_curve(curve, n)
+        cells[(3, n)] = old_h3_ambient(curve.ambient, n)
+    return cells
+
+
+def old_align(rows):
+    widths = [max(len(row[j]) for row in rows) for j in range(len(rows[0]))]
+    return "\n".join("  ".join(c.rjust(w) for c, w in zip(row, widths)) for row in rows) + "\n"
+
+
+def old_grid(window, cells):
+    twists = range(window[0], window[1] + 1)
+    rows = [[" n:"] + [str(n) for n in twists]]
+    for i in (3, 2, 1, 0):
+        values = [cells[(i, n)] for n in twists]
+        rows.append([f"h{i}:"] + ["?" if v is None else str(v) for v in values])
+    return old_align(rows)
+
+
+def old_csv(window, cells):
+    lines = ["i,n,value"]
+    for i in (3, 2, 1, 0):
+        for n in range(window[0], window[1] + 1):
+            lines.append(f"{i},{n},{'?' if cells[(i, n)] is None else cells[(i, n)]}")
+    return "\n".join(lines) + "\n"
+
+
+def old_value_row(values):
+    twists = sorted(values)
+    return old_align([
+        [" n:"] + [str(n) for n in twists],
+        ["h0:"] + [str(values[n]) for n in twists],
+    ])
+
+
+def old_value_csv(values):
+    return "\n".join(["n,value"] + [f"{n},{values[n]}" for n in sorted(values)]) + "\n"
 
 
 def test_rr_chi():
@@ -302,9 +379,159 @@ def test_grid_renderer():
     )
 
 
+def _old_vs_new_windows(rng):
+    """Windows wholly negative, straddling 0, starting at 1, one twist wide,
+    empty, and up to 2,000 twists wide."""
+    windows = [(-7, -2), (-1, -1), (-3, 4), (0, 0), (1, 1), (1, 9), (5, 3)]
+    for _ in range(2):
+        hi = -rng.randint(1, 40)
+        windows.append((hi - rng.randint(0, 60), hi))
+        windows.append((-rng.randint(1, 30), rng.randint(0, 60)))
+        windows.append((1, rng.randint(1, 300)))
+        lo = rng.randint(-5, 50)
+        windows.append((lo, lo))
+    for width in (10, 100, 1000, 2000):
+        lo = rng.randint(-width, 5)
+        windows.append((lo, lo + width - 1))
+    return windows
+
+
+def _same_table_or_witness(new, old):
+    """Run both builders; equal values (key order too) or equal witnesses."""
+    try:
+        expected = old()
+    except NegativeDimension as exc:
+        with pytest.raises(NegativeDimension) as info:
+            new()
+        assert (info.value.twist, info.value.value) == (exc.twist, exc.value)
+        assert str(info.value) == str(exc)
+        return None
+    got = new()
+    cells = getattr(got, "cells", got)
+    assert list(cells.items()) == list(expected.items())
+    return got
+
+
+def test_row_tables_and_renderers_match_the_twist_at_a_time_code():
+    rng = random.Random(531)
+    checked = witnesses = 0
+    for ambient in (P2, P3, P4, proj_space(5), QUADRIC3):
+        # at the least feasible genus, one and more above it, and below it
+        every_class = []
+        for d in (1, 2, 3, 8, rng.randint(4, 40), rng.randint(41, 400)):
+            g_min = brute_min_genus(d, ambient)
+            genera = {g_min, g_min + 1, g_min + rng.randint(2, 3 * d + 2), max(0, g_min - 1)}
+            if g_min > 0:
+                genera.add(rng.randint(0, g_min - 1))
+            every_class += [(d, g) for g in sorted(genera)]
+        for window in _old_vs_new_windows(rng):
+            lo, hi = window
+            twists = range(lo, hi + 1)
+            assert list(ambient_table(ambient, window).items()) == [
+                (n, ambient.h0(n)) for n in twists
+            ]
+            # the old code takes about 0.1 ms a twist, so wider windows get fewer classes
+            size = 1 if hi - lo >= 500 else 3 if hi - lo >= 60 else 8 if hi - lo >= 10 else 20
+            classes = rng.sample(every_class, size)
+            for d, g in classes:
+                curve = CurveClass(ambient, d, g)
+                ctx = (ambient, d, g, window)
+                sections = section_table(curve, window)
+                assert list(sections.items()) == [(n, old_sections(curve, n)) for n in twists], ctx
+                ideal = _same_table_or_witness(
+                    lambda: ideal_h0_table(curve, window),
+                    lambda: {n: old_ideal(curve, n) for n in twists},
+                )
+                if ideal is None:
+                    witnesses += 1
+                    continue
+                assert render_value_row(ideal) == old_value_row(ideal), ctx
+                assert render_value_csv(ideal) == old_value_csv(ideal), ctx
+                assert render_value_row(sections) == old_value_row(sections), ctx
+                if ambient is P2:
+                    continue
+                table = _same_table_or_witness(
+                    lambda: full_ideal_table(curve, window),
+                    lambda: old_full_cells(curve, window),
+                )
+                assert table.render_grid() == old_grid(window, table.cells), ctx
+                assert table.render_csv() == old_csv(window, table.cells), ctx
+                checked += 1
+    # the draws reach both outcomes often
+    assert checked > 300 and witnesses > 50, (checked, witnesses)
+
+
+def test_directly_built_tables_render_like_the_old_renderers():
+    rng = random.Random(532)
+    for _ in range(60):
+        lo = rng.randint(-30, 30)
+        window = (lo, lo + rng.randint(0, 40))
+        cells = {}
+        for n in range(window[0], window[1] + 1):
+            for i in rng.sample(range(4), 4):
+                cells[(i, n)] = rng.choice((None, 0, rng.randint(1, 10 ** rng.randint(1, 30))))
+        table = CohomTable(window, cells)
+        assert table.render_grid() == old_grid(window, cells)
+        assert table.render_csv() == old_csv(window, cells)
+        values = {n: rng.randint(0, 10**12) for n in rng.sample(range(-50, 50), rng.randint(0, 12))}
+        assert render_value_row(values) == old_value_row(values)
+        assert render_value_csv(values) == old_value_csv(values)
+
+
+def test_table_work_does_not_grow_with_the_window(monkeypatch):
+    """Every table builder and renderer makes the same calls for a 10- or
+    30-twist window as for 10,000-twist ones, and no per-twist call."""
+    calls = []
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    counting(Ambient, "h0")
+    counting(Ambient, "h0_row")
+    counting(curves, "curve_sections")
+    counting(curves, "ideal_h0")
+
+    def shape(window):
+        calls.clear()
+        for ambient, d, g in ((P3, 8, 20), (P4, 8, 4), (QUADRIC3, 8, 4)):
+            curve = CurveClass(ambient, d, g)
+            table = full_ideal_table(curve, window)
+            table.render_grid()
+            table.render_csv()
+            ideal = ideal_h0_table(curve, window)
+            render_value_row(ideal)
+            render_value_csv(ideal)
+            render_value_row(section_table(curve, window))
+            render_value_csv(ambient_table(ambient, window))
+        return sorted(calls)
+
+    # each wide window against a narrow one on the same side of n = 2d = 16,
+    # past which the ideal row is built as a second piece
+    pairs = (((0, 29), (0, MAX_WINDOW_TWISTS - 1)), ((-9, 0), (1 - MAX_WINDOW_TWISTS, 0)))
+    for narrow, wide in pairs:
+        assert shape(wide) == shape(narrow)
+        assert set(shape(narrow)) == {"h0_row"}
+
+
 def test_parse_window():
     assert parse_window("-1:8") == (-1, 8)
     assert parse_window("0:6") == (0, 6)
     for bad in ("5", "3:1", "a:b", "1:2:3"):
         with pytest.raises(ValueError):
             parse_window(bad)
+
+
+def test_parse_window_caps_the_width():
+    assert parse_window(f"0:{MAX_WINDOW_TWISTS - 1}") == (0, MAX_WINDOW_TWISTS - 1)
+    assert parse_window(f"-{MAX_WINDOW_TWISTS - 1}:0") == (1 - MAX_WINDOW_TWISTS, 0)
+    for text in (f"0:{MAX_WINDOW_TWISTS}", f"-{MAX_WINDOW_TWISTS}:0", "0:1000000000000"):
+        with pytest.raises(ValueError, match="twists; at most 10000 are allowed"):
+            parse_window(text)
+    # windows given to the library as tuples are not capped
+    assert len(ambient_table(P4, (0, MAX_WINDOW_TWISTS))) == MAX_WINDOW_TWISTS + 1
