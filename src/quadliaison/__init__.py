@@ -56,9 +56,7 @@ from .liaison import (
     ConsistencyReport,
     ResolutionFlavor,
     ResolutionTriple,
-    cancel_matched_pairs,
     ci_residual,
-    divisor_surface_degree,
     mapping_cone_e_from_n,
     mapping_cone_n_from_e,
     quadric_linkage,

@@ -4,8 +4,10 @@ generator-count heuristics for ideal sheaves.
 Every indecomposable ACM bundle on the quadric threefold is a twisted
 line bundle or a twist of the rank-2 spinor-type bundle, so a rank-4
 ACM kernel is one of three shapes: E0(a)+O(b)+O(c), E0(a)+E0(b), or a
-sum of four line bundles.  Matching a candidate against a section-count
-table therefore pins the kernel down without any resolution computation.
+sum of four line bundles.  Matching filters these candidates by their
+section counts over a finite window; it does not pin the kernel down.
+It tries rank 4 whatever the rank of the middle term, its answer can
+change with the window, and it may return no candidate or several.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Mapping
 from .curves import DEFAULT_WINDOW, CurveClass, Window, full_ideal_table, ideal_h0, regularity
 from .errors import NegativeDimension, RangeTooLarge
 from .hilbert import binom
-from .sheaves import SheafExpr, line_bundle, spinor, zero_sheaf
+from .sheaves import SheafExpr, line_bundle, sum_builder, zero_sheaf
 
 CANDIDATE_CAP = 10_000
 DEFAULT_TWIST_BOUNDS: tuple[int, int] = (-6, 3)
@@ -34,19 +36,15 @@ def rank4_candidate_count(twist_lo: int, twist_hi: int) -> int:
 
 @lru_cache(maxsize=8)
 def _enumerate_cached(twist_lo: int, twist_hi: int) -> tuple[SheafExpr, ...]:
-    twists = range(twist_lo, twist_hi + 1)
-    out: list[SheafExpr] = []
-    for a in twists:
-        for b, c in combinations_with_replacement(twists, 2):
-            out.append(spinor(a) + line_bundle(b) + line_bundle(c))
-    for a, b in combinations_with_replacement(twists, 2):
-        out.append(spinor(a) + spinor(b))
-    for quad in combinations_with_replacement(twists, 4):
-        expr = zero_sheaf()
-        for t in quad:
-            expr = expr + line_bundle(t)
-        out.append(expr)
-    return tuple(sorted(dict.fromkeys(out), key=SheafExpr.render))
+    # descending twists make every combination a non-increasing run; the
+    # three shapes differ in their spinor count, so no candidate repeats
+    twists = range(twist_hi, twist_lo - 1, -1)
+    build = sum_builder(twists)
+    pairs = list(combinations_with_replacement(twists, 2))
+    out = [build(pair, (a,)) for a in twists for pair in pairs]
+    out += [build((), pair) for pair in pairs]
+    out += [build(quad, ()) for quad in combinations_with_replacement(twists, 4)]
+    return tuple(sorted(out, key=SheafExpr.render))
 
 
 def enumerate_rank4_candidates(
@@ -72,6 +70,11 @@ def match_acm_kernel(
 
     The window must span at least 5 twists: fewer points cannot separate
     the cubic growth patterns of the three families.
+
+    Below twist -twist_hi no candidate has sections, since O(t) needs
+    t + n >= 0, E0(t) needs t + n >= 2 and every t is at most twist_hi.
+    So a target that is nonzero there matches nothing, and otherwise only
+    the twists from max(lo, -twist_hi) up are compared.
     """
     lo, hi = window
     if hi - lo + 1 < 5:
@@ -80,11 +83,10 @@ def match_acm_kernel(
     if missing:
         raise ValueError(f"target lacks values at twists {missing}")
     candidates = enumerate_rank4_candidates(twist_lo, twist_hi)
-    return [
-        cand
-        for cand in candidates
-        if all(cand.h0(n) == target[n] for n in range(lo, hi + 1))
-    ]
+    if any(target[n] for n in range(lo, min(hi + 1, -twist_hi))):
+        return []
+    twists = range(max(lo, -twist_hi), hi + 1)
+    return [cand for cand in candidates if all(cand.h0(n) == target[n] for n in twists)]
 
 
 def kernel_table_from_resolution(

@@ -22,7 +22,7 @@ from math import prod
 
 from .curves import DEFAULT_WINDOW, CurveClass, Window, ideal_h0
 from .errors import InfeasibleError, MappingConeInconsistent
-from .sheaves import AtomKind, SheafExpr, line_bundle
+from .sheaves import SheafExpr, line_bundle
 
 
 @dataclass(frozen=True)
@@ -53,11 +53,6 @@ class CILinkage:
 def quadric_linkage(a: int, b: int) -> CILinkage:
     """Linkage on the quadric threefold by divisors O_Q(a), O_Q(b)."""
     return CILinkage(4, (2, a, b))
-
-
-def divisor_surface_degree(twist: int) -> int:
-    """Degree in P^4 of the surface cut on Q by a form of the given twist."""
-    return 2 * twist
 
 
 def ci_residual(degree: int, genus: int, linkage: CILinkage) -> tuple[int, int]:
@@ -259,36 +254,3 @@ def mapping_cone_e_from_n(
     middle2 = res.kernel.dual().twist(-s)
     out = ResolutionTriple(kernel2, middle2, curve2, ResolutionFlavor.E_TYPE)
     return _checked(out, window)
-
-
-def cancel_matched_pairs(
-    res: ResolutionTriple,
-) -> tuple[ResolutionTriple, tuple[str, ...]]:
-    """Remove line-bundle summands appearing in both kernel and middle.
-
-    Such pairs are split off by an automorphism of the sequence, so the
-    cancelled triple resolves the same ideal sheaf; section-count and
-    rank/c1 differences are untouched.  Returns the reduced triple and a
-    note per cancelled summand.
-    """
-    kernel_counts = dict(res.kernel.atoms)
-    middle_counts = dict(res.middle.atoms)
-    notes = []
-    for atom in sorted(kernel_counts, key=lambda at: at.sort_key()):
-        if atom.kind is not AtomKind.LINE:
-            continue
-        shared = min(kernel_counts[atom], middle_counts.get(atom, 0))
-        if shared <= 0:
-            continue
-        kernel_counts[atom] -= shared
-        middle_counts[atom] -= shared
-        notes.append(f"removed {shared} matched {atom.render()} from both sides")
-    if not notes:
-        return (res, ())
-    reduced = ResolutionTriple(
-        SheafExpr(tuple(kernel_counts.items()), res.kernel.ambient),
-        SheafExpr(tuple(middle_counts.items()), res.middle.ambient),
-        res.curve,
-        res.flavor,
-    )
-    return (reduced, tuple(notes))

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import IntEnum
+from itertools import groupby
+from typing import Callable
 
 from . import hilbert
 from .ambient import QUADRIC3, Ambient
@@ -108,9 +110,6 @@ class SheafExpr:
     def c1(self) -> int:
         return sum(atom.c1 * mult for atom, mult in self.atoms)
 
-    def rank_c1(self) -> tuple[int, int]:
-        return (self.rank, self.c1)
-
     def _replace_atoms(self, atoms: tuple) -> "SheafExpr":
         # constructor bypass for transforms that keep the tuple canonical
         clone = object.__new__(SheafExpr)
@@ -140,10 +139,6 @@ class SheafExpr:
 
     def h0(self, n: int) -> int:
         return sum(atom.h0(n, self.ambient) * mult for atom, mult in self.atoms)
-
-    def h0_table(self, window: tuple[int, int]) -> dict[int, int]:
-        lo, hi = window
-        return {n: self.h0(n) for n in range(lo, hi + 1)}
 
     def __add__(self, other: "SheafExpr") -> "SheafExpr":
         if not isinstance(other, SheafExpr):
@@ -195,3 +190,24 @@ def spinor(twist: int, multiplicity: int = 1) -> SheafExpr:
 
 def zero_sheaf(ambient: Ambient = QUADRIC3) -> SheafExpr:
     return SheafExpr((), ambient)
+
+
+def sum_builder(twists: range) -> Callable[[tuple, tuple], SheafExpr]:
+    """A builder of quadric sums that share one atom per kind and twist.
+
+    ``build(lines, spinors)`` is the sum of O(b) for b in ``lines`` and
+    E0(a) for a in ``spinors``.  Both tuples must be non-increasing and
+    drawn from ``twists``: runs of equal twists then become multiplicities
+    in canonical order, so the sum skips the constructor's canonicalization.
+    """
+    template = zero_sheaf()
+    line_atoms = {t: TwistAtom(AtomKind.LINE, t) for t in twists}
+    spinor_atoms = {t: TwistAtom(AtomKind.SPINOR, t) for t in twists}
+
+    def build(lines: tuple, spinors: tuple) -> SheafExpr:
+        return template._replace_atoms(
+            tuple((line_atoms[t], len(list(run))) for t, run in groupby(lines))
+            + tuple((spinor_atoms[t], len(list(run))) for t, run in groupby(spinors))
+        )
+
+    return build

@@ -1,5 +1,8 @@
 """Tests for rank-4 bundle enumeration, kernel matching, and synthesis."""
 
+import random
+from itertools import combinations_with_replacement
+
 import pytest
 
 from quadliaison import (
@@ -23,8 +26,11 @@ from quadliaison import (
     match_acm_kernel,
     rank4_candidate_count,
     resolution_consistency_check,
+    SheafExpr,
     spinor,
+    zero_sheaf,
 )
+from quadliaison.classify import _enumerate_cached
 
 C84 = CurveClass(QUADRIC3, 8, 4)
 C40 = CurveClass(QUADRIC3, 4, 0)
@@ -81,6 +87,50 @@ def test_default_bounds_are_modest():
     assert count <= CANDIDATE_CAP
 
 
+def constructor_enumeration(lo, hi):
+    """The enumeration as first written, kept as the oracle: every candidate
+    summed from single atoms through the canonicalizing constructor."""
+    twists = range(lo, hi + 1)
+    pairs = list(combinations_with_replacement(twists, 2))
+    out = [spinor(a) + line_bundle(b) + line_bundle(c) for a in twists for b, c in pairs]
+    out += [spinor(a) + spinor(b) for a, b in pairs]
+    for quad in combinations_with_replacement(twists, 4):
+        expr = zero_sheaf()
+        for t in quad:
+            expr = expr + line_bundle(t)
+        out.append(expr)
+    return tuple(sorted(dict.fromkeys(out), key=SheafExpr.render))
+
+
+@pytest.mark.parametrize("bounds", [(0, 0), (-1, 0), (-2, 0), (-6, 3), (-10, 3), (2, 5)])
+def test_enumeration_equals_constructor_oracle(bounds):
+    _enumerate_cached.cache_clear()
+    got = tuple(enumerate_rank4_candidates(*bounds))
+    want = constructor_enumeration(*bounds)
+    assert got == want
+    assert [expr.atoms for expr in got] == [expr.atoms for expr in want]
+    assert [hash(expr) for expr in got] == [hash(expr) for expr in want]
+
+
+def test_cold_enumeration_builds_each_candidate_once(monkeypatch):
+    """One constructor call (the shared zero sheaf) and one canonical
+    _replace_atoms per candidate, with no intermediate sums."""
+    calls = {"__post_init__": 0, "_replace_atoms": 0}
+    for name in calls:
+        original = getattr(SheafExpr, name)
+
+        def counted(self, *args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(SheafExpr, name, counted)
+    _enumerate_cached.cache_clear()
+    assert len(enumerate_rank4_candidates(-6, 3)) == 1320
+    assert calls["__post_init__"] <= 1
+    assert calls["_replace_atoms"] == 1320
+    _enumerate_cached.cache_clear()
+
+
 def test_enumeration_rejects_oversized_ranges():
     with pytest.raises(RangeTooLarge) as info:
         enumerate_rank4_candidates(-16, 3)
@@ -115,9 +165,65 @@ def test_match_target_must_cover_window():
 def test_every_candidate_matches_its_own_table():
     lo, hi = -2, 0
     for expr in enumerate_rank4_candidates(lo, hi):
-        target = expr.h0_table(MATCH_WINDOW)
+        target = {n: expr.h0(n) for n in range(MATCH_WINDOW[0], MATCH_WINDOW[1] + 1)}
         matches = match_acm_kernel(target, twist_lo=lo, twist_hi=hi)
         assert expr in matches
+
+
+def filter_match(target, window, twist_lo, twist_hi):
+    """Matching before twists without sections were skipped, kept as the
+    oracle: every candidate compared at every twist of the window."""
+    lo, hi = window
+    return [
+        cand
+        for cand in enumerate_rank4_candidates(twist_lo, twist_hi)
+        if all(cand.h0(n) == target[n] for n in range(lo, hi + 1))
+    ]
+
+
+def test_match_agrees_with_unpruned_filter_on_seeded_targets():
+    rng = random.Random(6)
+    pool = enumerate_rank4_candidates(-6, 3)
+    outcomes = set()
+    for _ in range(240):
+        twist_lo = rng.randint(-6, 1)
+        twist_hi = rng.randint(twist_lo, min(twist_lo + 5, 3))
+        lo = rng.randint(-14, 4)
+        window = (lo, lo + rng.randint(4, 12))
+        expr = rng.choice(pool)
+        if rng.random() < 0.3:
+            expr = expr + rng.choice(pool)
+        target = {n: expr.h0(n) for n in range(window[0], window[1] + 1)}
+        if rng.random() < 0.3:
+            n = rng.randint(*window)
+            target[n] += rng.choice((-1, 1))
+        want = filter_match(target, window, twist_lo, twist_hi)
+        assert match_acm_kernel(target, window, twist_lo, twist_hi) == want
+        outcomes.add(min(len(want), 2))
+    # the draws reach no match, a unique match and several matches
+    assert outcomes == {0, 1, 2}
+
+
+def test_match_work_does_not_grow_below_the_twist_bounds(monkeypatch):
+    """Twists below -twist_hi cost no section counts, so a window reaching
+    down to -9999 makes as many h0 calls as one reaching down to -9."""
+    kernel = spinor(-2, 2)
+    calls = []
+    original = SheafExpr.h0
+
+    def counted(self, n):
+        calls.append(n)
+        return original(self, n)
+
+    monkeypatch.setattr(SheafExpr, "h0", counted)
+    results = {}
+    for lo in (-9, -9999):
+        target = {n: kernel.h0(n) for n in range(lo, 7)}
+        calls.clear()
+        results[lo] = match_acm_kernel(target, (lo, 6)), len(calls)
+    assert results[-9999] == results[-9]
+    assert results[-9][0] == filter_match(target, (-9, 6), -6, 3)
+    assert kernel in results[-9][0]
 
 
 def test_kernel_table_from_resolution():

@@ -3,9 +3,10 @@
 Each draw builds an argv from a small grammar: one command with a random
 subset of its own flags, each flag given an ordinary, negative, zero,
 huge or malformed value in the ``--flag value`` or ``--flag=value``
-spelling, windows up to 400 twists wide, and scenario files with bad
-lines.  Whatever is drawn, ``cli.main`` must return a documented exit
-code without raising or printing a traceback, and the usage (1) and
+spelling, windows up to 400 twists wide (resolve windows reaching down
+to the cap in a separate stream), and scenario files with bad lines.
+Whatever is drawn, ``cli.main`` must return a documented exit code
+without raising or printing a traceback, and the usage (1) and
 infeasibility (2) exits must leave stdout empty.
 """
 
@@ -18,6 +19,8 @@ from quadliaison.curves import MAX_WINDOW_TWISTS
 
 SEED = 4
 DRAWS = 300
+DEEP_SEED = 5
+DEEP_DRAWS = 24
 
 # Each pool is (ordinary values, edge values): zero, negative and
 # malformed ones.  A flag takes an edge value one time in ten, so many
@@ -73,9 +76,9 @@ def _window(rng: random.Random, floor: int) -> str:
 
 def draw(rng: random.Random, scenarios: list[str]) -> list[str]:
     command = rng.choices(tuple(GRAMMAR), weights=(20, 12, 16, 1, 1))[0]
-    # Below twist -6 every one of the 1,320 candidate kernels has no
-    # sections, so kernel matching walks each such twist of the window for
-    # every candidate; resolve windows start no lower than -10 to stay fast.
+    # Resolve windows start no lower than -10 here so that this draw stream
+    # stays as it was; test_fuzzed_resolve_windows_down_to_the_cap below
+    # draws resolve windows as deep as the cap allows.
     floor = -10 if command == "resolve" else -10**12
     pools = {"--format": FORMATS, **GRAMMAR[command]}
     argv = [command]
@@ -163,3 +166,30 @@ def test_fuzzed_windows_past_the_cap_exit_1(tmp_path, capsys, monkeypatch):
         capped += "are allowed" in err
     # most draws reach the window check rather than failing on another flag
     assert capped * 2 >= 60, capped
+
+
+def test_fuzzed_resolve_windows_down_to_the_cap(capsys):
+    """Resolve windows up to MAX_WINDOW_TWISTS wide, most of them reaching
+    thousands of twists below where any candidate kernel has sections.
+    Kernel matching skips those twists, so a draw costs about what the
+    window's own tables and audit cost."""
+    rng = random.Random(DEEP_SEED)
+    answered = 0
+    for _ in range(DEEP_DRAWS):
+        argv = ["resolve", "--ambient=q", f"-d={rng.randint(1, 12)}", f"-g={rng.randint(0, 8)}"]
+        if rng.random() < 0.5:
+            argv.append("--etype")
+        else:
+            argv += ["--ntype", f"--via={rng.choice(('2,3', '2,2', '2,4', '3,3', '1,2'))}"]
+        hi = rng.randint(-12, 12)
+        lo = hi + 1 - rng.choice((MAX_WINDOW_TWISTS, rng.randint(5, MAX_WINDOW_TWISTS)))
+        argv.append(f"--window={lo}:{hi}")
+        rc = main(argv)
+        out, err = capsys.readouterr()
+        assert rc in (0, 1, 2, 3), argv
+        assert "Traceback" not in err, argv
+        if rc in (1, 2):
+            assert out == "", argv
+        answered += rc in (0, 3)
+    # most draws get past the feasibility checks to kernel matching
+    assert answered * 2 >= DEEP_DRAWS, answered

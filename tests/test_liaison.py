@@ -19,9 +19,7 @@ from quadliaison import (
     MappingConeInconsistent,
     ResolutionFlavor,
     ResolutionTriple,
-    cancel_matched_pairs,
     ci_residual,
-    divisor_surface_degree,
     line_bundle,
     mapping_cone_e_from_n,
     mapping_cone_n_from_e,
@@ -44,7 +42,6 @@ ETYPE_40 = ResolutionTriple(
 def test_linkage_validation():
     assert quadric_linkage(2, 3).degrees == (2, 2, 3)
     assert quadric_linkage(2, 3).total_degree == 12
-    assert divisor_surface_degree(2) == 4
     with pytest.raises(ValueError):
         CILinkage(4, (2, 2))
     with pytest.raises(ValueError):
@@ -157,8 +154,8 @@ def test_mapping_cone_n_from_e():
     assert derived.render() == "0 -> 5*O(-3) -> O(-2) + O(-3) + 2*E0(-1) -> I_C -> 0"
     assert derived.flavor is ResolutionFlavor.N_TYPE
     assert derived.curve == C84
-    assert derived.kernel.rank_c1() == (5, -15)
-    assert derived.middle.rank_c1() == (6, -15)
+    assert (derived.kernel.rank, derived.kernel.c1) == (5, -15)
+    assert (derived.middle.rank, derived.middle.c1) == (6, -15)
     assert resolution_consistency_check(derived).ok
 
 
@@ -215,14 +212,3 @@ def test_mapping_cone_inconsistent_input():
     with pytest.raises(MappingConeInconsistent) as info:
         mapping_cone_n_from_e(wrong, (2, 3))
     assert isinstance(info.value.twist, int)
-
-
-def test_cancel_matched_pairs():
-    derived = mapping_cone_n_from_e(ETYPE_40, (2, 3))
-    reduced, notes = cancel_matched_pairs(derived)
-    assert reduced.kernel.render() == "4*O(-3)"
-    assert reduced.middle.render() == "O(-2) + 2*E0(-1)"
-    assert notes == ("removed 1 matched O(-3) from both sides",)
-    assert resolution_consistency_check(reduced).ok
-    untouched, no_notes = cancel_matched_pairs(ETYPE_84)
-    assert untouched is ETYPE_84 and no_notes == ()
