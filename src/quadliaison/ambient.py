@@ -2,31 +2,30 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .hilbert import h0_proj, h0_proj_row, h0_quadric3, h0_quadric3_row
 
 
-@dataclass(frozen=True)
-class Ambient:
+class Ambient(NamedTuple("Ambient", [("kind", str), ("dim", int)])):
     """Either P^n (kind ``"proj"``) or the quadric threefold (kind ``"quadric3"``).
 
     ``dim`` is the dimension of the space itself, so the quadric threefold
     has dim 3 even though it lives in P^4.
     """
 
-    kind: str
-    dim: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind == "proj":
-            if self.dim < 2:
-                raise ValueError(f"projective ambient needs dim >= 2, got {self.dim}")
-        elif self.kind == "quadric3":
-            if self.dim != 3:
+    def __new__(cls, kind: str, dim: int) -> Ambient:
+        if kind == "proj":
+            if dim < 2:
+                raise ValueError(f"projective ambient needs dim >= 2, got {dim}")
+        elif kind == "quadric3":
+            if dim != 3:
                 raise ValueError("the quadric threefold has dimension 3")
         else:
-            raise ValueError(f"unknown ambient kind {self.kind!r}")
+            raise ValueError(f"unknown ambient kind {kind!r}")
+        return super().__new__(cls, kind, dim)
 
     @property
     def is_quadric(self) -> bool:

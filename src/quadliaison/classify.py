@@ -12,10 +12,9 @@ change with the window, and it may return no candidate or several.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .curves import DEFAULT_WINDOW, CurveClass, Window, full_ideal_table, ideal_h0, regularity
 from .errors import NegativeDimension, RangeTooLarge
@@ -110,8 +109,7 @@ def kernel_table_from_resolution(
     return out
 
 
-@dataclass(frozen=True)
-class GeneratorEstimate:
+class GeneratorEstimate(NamedTuple):
     """Heuristic generator counts per degree for an ideal sheaf.
 
     New generators in degree k are counted as h0(I(k)) minus the span of
@@ -122,7 +120,7 @@ class GeneratorEstimate:
 
     counts: dict[int, int]
     regularity: int
-    assumes_injective_multiplication: bool = field(default=True)
+    assumes_injective_multiplication: bool = True
 
 
 def generator_estimate(

@@ -9,19 +9,19 @@ Exit codes: 0 success, 1 usage error, 2 mathematical infeasibility,
 3 internal inconsistency.  Output is byte-deterministic for fixed
 arguments.  The environment variable QL_WINDOW (``lo:hi``) sets the
 default twist window; a scenario file sets per-run defaults; flags win.
+
+Commands import what they use beyond ambient, curves and errors when they
+run: ``table`` loads no other module, and only ``verify`` loads the suite.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import os
 import sys
+from typing import TYPE_CHECKING
 
 from .ambient import Ambient, parse_ambient
-from .classify import etype_candidates
 from .curves import (
     DEFAULT_WINDOW,
     CurveClass,
@@ -35,16 +35,9 @@ from .curves import (
     section_table,
 )
 from .errors import InconsistencyError, InfeasibleError
-from .liaison import (
-    CILinkage,
-    ResolutionFlavor,
-    ResolutionTriple,
-    ci_residual,
-    mapping_cone_n_from_e,
-    residual_curve,
-    resolution_consistency_check,
-)
-from .verify import all_ok, run_reference_checks
+
+if TYPE_CHECKING:
+    from .liaison import ResolutionTriple
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -127,7 +120,7 @@ class _Run:
         returns the JSON value.  The format is read here, after the result
         is computed, so a computation error wins over a bad format."""
         fmt = self.get("format", "text")
-        renderers = {"text": text, "csv": csv, "json": lambda: json.dumps(record()) + "\n"}
+        renderers = {"text": text, "csv": csv, "json": lambda: _json_text(record())}
         if fmt not in renderers:
             raise ValueError(f"unknown format {fmt!r}")
         try:
@@ -140,6 +133,12 @@ class _Run:
                 "narrow the window or the twists"
             ) from None
         print(output, end="")
+
+
+def _json_text(value) -> str:
+    import json  # only the JSON format pays for this import
+
+    return json.dumps(value) + "\n"
 
 
 def _curve_json(curve: CurveClass) -> dict:
@@ -189,6 +188,8 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_link(args: argparse.Namespace) -> int:
+    from .liaison import CILinkage, ci_residual
+
     run = _Run(args)
     degrees = run.int_list("ci")
     linkage = CILinkage(len(degrees) + 1, degrees)
@@ -199,6 +200,9 @@ def cmd_link(args: argparse.Namespace) -> int:
 
 
 def _unique_etype(curve: CurveClass, window: Window) -> ResolutionTriple:
+    from .classify import etype_candidates
+    from .liaison import ResolutionFlavor, ResolutionTriple
+
     middle, matches = etype_candidates(curve, match_window=window)
     if len(matches) != 1:
         print(
@@ -213,6 +217,8 @@ def _unique_etype(curve: CurveClass, window: Window) -> ResolutionTriple:
 
 
 def cmd_resolve(args: argparse.Namespace) -> int:
+    from .liaison import mapping_cone_n_from_e, residual_curve, resolution_consistency_check
+
     run = _Run(args)
     window = run.window()
     curve = run.curve()
@@ -254,6 +260,8 @@ def cmd_resolve(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import all_ok, run_reference_checks
+
     run = _Run(args)
     results = run_reference_checks()
 
@@ -267,6 +275,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         )
 
     def csv_text() -> str:
+        import csv
+        import io
+
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(["name", "status", "detail"])

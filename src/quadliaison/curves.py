@@ -23,9 +23,9 @@ CSV renderers one joiner.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import repeat
 from operator import sub
+from typing import NamedTuple
 
 from .ambient import Ambient
 from .errors import NegativeDimension
@@ -58,17 +58,17 @@ def parse_window(text: str) -> Window:
     return (lo, hi)
 
 
-@dataclass(frozen=True)
-class CurveClass:
-    ambient: Ambient
-    degree: int
-    genus: int
+class CurveClass(
+    NamedTuple("CurveClass", [("ambient", Ambient), ("degree", int), ("genus", int)])
+):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.degree < 1:
-            raise ValueError(f"degree must be positive, got {self.degree}")
-        if self.genus < 0:
-            raise ValueError(f"genus must be nonnegative, got {self.genus}")
+    def __new__(cls, ambient: Ambient, degree: int, genus: int) -> CurveClass:
+        if degree < 1:
+            raise ValueError(f"degree must be positive, got {degree}")
+        if genus < 0:
+            raise ValueError(f"genus must be nonnegative, got {genus}")
+        return super().__new__(cls, ambient, degree, genus)
 
     def label(self) -> str:
         return f"({self.degree},{self.genus}) in {self.ambient.label()}"
@@ -145,8 +145,7 @@ def ambient_table(ambient: Ambient, window: Window = DEFAULT_WINDOW) -> dict[int
 _GRID_ROWS = (3, 2, 1, 0)
 
 
-@dataclass(frozen=True)
-class CohomTable:
+class CohomTable(NamedTuple):
     """Exact table h^i(I_C(n)), i in 0..3, n over a window.
 
     A cell value of None means the arguments implemented here do not
@@ -270,8 +269,7 @@ def full_ideal_table(curve: CurveClass, window: Window = DEFAULT_WINDOW) -> Coho
     return CohomTable(window, cells, notes)
 
 
-@dataclass(frozen=True)
-class RegularityReport:
+class RegularityReport(NamedTuple):
     regularity: int | None
     witness: tuple[tuple[int, int], ...]
 
@@ -293,8 +291,7 @@ def regularity(table: CohomTable) -> RegularityReport:
     return RegularityReport(None, ())
 
 
-@dataclass(frozen=True)
-class Feasibility:
+class Feasibility(NamedTuple):
     feasible: bool
     witness_twist: int | None = None
 

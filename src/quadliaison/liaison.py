@@ -16,34 +16,34 @@ resolution of the original, and vice versa.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from math import prod
+from typing import TYPE_CHECKING, NamedTuple
 
 from .curves import DEFAULT_WINDOW, CurveClass, Window, ideal_h0
 from .errors import InfeasibleError, MappingConeInconsistent
-from .sheaves import SheafExpr, line_bundle
+
+if TYPE_CHECKING:  # the mapping cones import sheaves, so `ql link` never loads it
+    from .sheaves import SheafExpr
 
 
-@dataclass(frozen=True)
-class CILinkage:
+class CILinkage(NamedTuple("CILinkage", [("ambient_dim", int), ("degrees", tuple[int, ...])])):
     """Hypersurface degrees of a complete intersection curve in P^ambient_dim."""
 
-    ambient_dim: int
-    degrees: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.ambient_dim < 3:
+    def __new__(cls, ambient_dim: int, degrees: tuple[int, ...]) -> CILinkage:
+        if ambient_dim < 3:
             raise ValueError("linkage needs an ambient projective space of dim >= 3")
-        degrees = tuple(sorted(self.degrees))
-        object.__setattr__(self, "degrees", degrees)
-        if len(degrees) != self.ambient_dim - 1:
+        degrees = tuple(sorted(degrees))
+        if len(degrees) != ambient_dim - 1:
             raise ValueError(
-                f"a curve in P^{self.ambient_dim} is cut by "
-                f"{self.ambient_dim - 1} hypersurfaces, got {len(degrees)}"
+                f"a curve in P^{ambient_dim} is cut by "
+                f"{ambient_dim - 1} hypersurfaces, got {len(degrees)}"
             )
         if any(e < 1 for e in degrees):
             raise ValueError("hypersurface degrees must be positive")
+        return super().__new__(cls, ambient_dim, degrees)
 
     @property
     def total_degree(self) -> int:
@@ -77,8 +77,10 @@ class ResolutionFlavor(Enum):
     N_TYPE = "N-type"
 
 
-@dataclass(frozen=True)
-class ResolutionTriple:
+class ResolutionTriple(NamedTuple("ResolutionTriple", [
+    ("kernel", "SheafExpr"), ("middle", "SheafExpr"),
+    ("curve", CurveClass), ("flavor", ResolutionFlavor),
+])):
     """A two-term locally-free resolution 0 -> kernel -> middle -> I_C -> 0.
 
     E-type keeps the non-split summands in the kernel, N-type in the
@@ -87,16 +89,16 @@ class ResolutionTriple:
     enforced here, so defective proposals can still be examined.
     """
 
-    kernel: SheafExpr
-    middle: SheafExpr
-    curve: CurveClass
-    flavor: ResolutionFlavor
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.kernel.is_zero and self.kernel.ambient != self.middle.ambient:
+    def __new__(
+        cls, kernel: SheafExpr, middle: SheafExpr, curve: CurveClass, flavor: ResolutionFlavor
+    ) -> ResolutionTriple:
+        if not kernel.is_zero and kernel.ambient != middle.ambient:
             raise ValueError("kernel and middle live over different ambients")
-        if not self.middle.is_zero and self.middle.ambient != self.curve.ambient:
+        if not middle.is_zero and middle.ambient != curve.ambient:
             raise ValueError("resolution and curve live over different ambients")
+        return super().__new__(cls, kernel, middle, curve, flavor)
 
     @property
     def rank_diff(self) -> int:
@@ -113,8 +115,7 @@ class ResolutionTriple:
         return self.render()
 
 
-@dataclass(frozen=True)
-class CellCheck:
+class CellCheck(NamedTuple):
     twist: int
     lhs: int
     rhs: int
@@ -124,8 +125,7 @@ class CellCheck:
         return self.lhs == self.rhs
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
+class ConsistencyReport(NamedTuple):
     """Cell-by-cell audit of h0(middle(n)) - h0(kernel(n)) = h0(I_C(n))."""
 
     resolution: ResolutionTriple
@@ -227,6 +227,8 @@ def mapping_cone_n_from_e(
     a+b, and append the Koszul summands O(-a), O(-b) to the middle term.
     The output is consistency-checked before it is returned.
     """
+    from .sheaves import line_bundle
+
     if res.flavor is not ResolutionFlavor.E_TYPE:
         raise ValueError("input resolution must be E-type")
     a, b = divisor_twists
@@ -244,6 +246,8 @@ def mapping_cone_e_from_n(
     window: Window = DEFAULT_WINDOW,
 ) -> ResolutionTriple:
     """Inverse transport: strip the Koszul summands, dualize, twist down."""
+    from .sheaves import line_bundle
+
     if res.flavor is not ResolutionFlavor.N_TYPE:
         raise ValueError("input resolution must be N-type")
     a, b = divisor_twists

@@ -8,10 +8,9 @@ section counts) is atom-wise and exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import IntEnum
 from itertools import groupby
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import hilbert
 from .ambient import QUADRIC3, Ambient
@@ -22,8 +21,7 @@ class AtomKind(IntEnum):
     SPINOR = 1
 
 
-@dataclass(frozen=True)
-class TwistAtom:
+class TwistAtom(NamedTuple):
     """A single summand: O(twist) or E0(twist)."""
 
     kind: AtomKind
@@ -77,18 +75,25 @@ def _canonicalize(
     )
 
 
-@dataclass(frozen=True)
 class SheafExpr:
     """Direct sum of twisted atoms over a fixed ambient space.
 
     ``atoms`` is a canonical tuple of (atom, multiplicity) pairs; an empty
     tuple is the zero sheaf.  Spinor atoms require the quadric ambient.
+    Instances are immutable and compare and hash by (atoms, ambient).
     """
 
-    atoms: tuple[tuple[TwistAtom, int], ...] = ()
-    ambient: Ambient = field(default=QUADRIC3)
+    __slots__ = ("atoms", "ambient")
+
+    def __init__(
+        self, atoms: tuple[tuple[TwistAtom, int], ...] = (), ambient: Ambient = QUADRIC3
+    ) -> None:
+        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "ambient", ambient)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
+        # every public construction canonicalizes here; _replace_atoms skips it
         canon = _canonicalize(self.atoms)
         object.__setattr__(self, "atoms", canon)
         if not self.ambient.is_quadric:
@@ -97,6 +102,25 @@ class SheafExpr:
                     raise ValueError(
                         "spinor summands only exist on the quadric threefold"
                     )
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable SheafExpr")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.atoms, self.ambient) == (other.atoms, other.ambient)
+
+    def __hash__(self) -> int:
+        return hash((self.atoms, self.ambient))
+
+    def __repr__(self) -> str:
+        return f"SheafExpr(atoms={self.atoms!r}, ambient={self.ambient!r})"
+
+    def __reduce__(self) -> tuple:
+        return (SheafExpr, (self.atoms, self.ambient))
 
     @property
     def is_zero(self) -> bool:

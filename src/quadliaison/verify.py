@@ -11,7 +11,7 @@ is a FAIL).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ambient import P3, P4, QUADRIC3
 from .classify import etype_candidates, generator_estimate, match_acm_kernel
@@ -46,8 +46,7 @@ FAIL = "FAIL"
 EXPECTED_DISCREPANCY = "EXPECTED-DISCREPANCY"
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     status: str
     detail: str
@@ -66,7 +65,8 @@ def _fmt(value) -> str:
         return "{" + ", ".join(f"{k}:{v}" for k, v in sorted(value.items())) + "}"
     if isinstance(value, set):
         return "{" + ",".join(str(v) for v in sorted(value)) + "}"
-    if isinstance(value, (list, tuple)):
+    # records such as ResolutionTriple are tuples too; they print as themselves
+    if type(value) in (list, tuple):
         return ",".join(str(v) for v in value)
     return str(value)
 
@@ -211,22 +211,9 @@ def run_reference_checks() -> list[CheckResult]:
     )
 
     # Resolution consistency.
-    report_84 = resolution_consistency_check(ETYPE_84, (0, 6))
-    add(
-        CheckResult(
-            "etype-84-consistency",
-            PASS if report_84.ok else FAIL,
-            report_84.render_text(),
-        )
-    )
-    report_40 = resolution_consistency_check(ETYPE_40, (0, 6))
-    add(
-        CheckResult(
-            "etype-40-consistency",
-            PASS if report_40.ok else FAIL,
-            report_40.render_text(),
-        )
-    )
+    for name, etype in ("etype-84-consistency", ETYPE_84), ("etype-40-consistency", ETYPE_40):
+        report = resolution_consistency_check(etype, (0, 6))
+        add(CheckResult(name, PASS if report.ok else FAIL, report.render_text()))
 
     try:
         derived = mapping_cone_n_from_e(ETYPE_40, (2, 3))
@@ -291,22 +278,12 @@ def run_reference_checks() -> list[CheckResult]:
             {2: 5},
         )
     )
-    middle_84, kernels_84 = etype_candidates(CURVE_84_Q)
-    add(
-        _eq(
-            "etype-84-synthesis",
-            (middle_84.render(), [e.render() for e in kernels_84]),
-            ("O(-2) + 4*O(-3)", ["2*E0(-2)"]),
-        )
-    )
-    middle_40, kernels_40 = etype_candidates(CURVE_40_Q)
-    add(
-        _eq(
-            "etype-40-synthesis",
-            (middle_40.render(), [e.render() for e in kernels_40]),
-            ("5*O(-2)", ["2*E0(-1)"]),
-        )
-    )
+    for name, curve, expected in (
+        ("etype-84-synthesis", CURVE_84_Q, ("O(-2) + 4*O(-3)", ["2*E0(-2)"])),
+        ("etype-40-synthesis", CURVE_40_Q, ("5*O(-2)", ["2*E0(-1)"])),
+    ):
+        middle, kernels = etype_candidates(curve)
+        add(_eq(name, (middle.render(), [e.render() for e in kernels]), expected))
 
     # Final feasibility obstructions.
     add(_eq("nonspecial-from-1", nonspecial_threshold(8, 4), 1))

@@ -1,16 +1,77 @@
-"""Dimension functions against brute-force and published-table oracles.
+"""Dimension functions against brute-force, first-principles and
+published-table oracles.
 
-The spinor section counts cannot be computed from first principles here;
-they are pinned by the kernel-difference oracle: subtract the published
-ideal column from the published middle column of each resolution table,
-halve (the kernel is a square), and read off h0 at the shifted twist.
+The section counts on the quadric threefold Q, and the constants of the
+rank-2 bundle E0, are computed from first principles by
+Hirzebruch-Riemann-Roch on Q in exact rational arithmetic (below).  The
+spinor counts are also pinned by the kernel-difference oracle: subtract
+the published ideal column from the published middle column of each
+resolution table, halve (the kernel is a square), and read off h0 at the
+shifted twist.
 """
 
+from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import factorial
 
 import pytest
 
 from quadliaison import binom, h0_proj, h0_quadric3, h0_spinor
+from quadliaison.hilbert import SPINOR_C1, SPINOR_DUAL_SHIFT, SPINOR_RANK
+
+# -- Hirzebruch-Riemann-Roch on Q -------------------------------------------
+# The rational Chow ring of Q is Q[H]/(H^4), with the line class l = H^2/2
+# and the point class pt = H^3/2 (H^3 = 2 pt, H^2 = 2 l, H.l = pt).  A
+# class is its list of coefficients of 1, H, H^2, H^3.
+
+
+def chow_mul(a: list, b: list) -> list:
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(4)]
+
+
+def integral(a: list) -> Fraction:
+    return 2 * a[3]  # deg(H^3) = 2
+
+
+def chern_classes_of_tq() -> list:
+    """c(TQ) = (1+H)^5 / (1+2H), from the Euler and normal-bundle sequences."""
+    c = [Fraction(1), 0, 0, 0]
+    for _ in range(5):
+        c = chow_mul(c, [1, 1, 0, 0])
+    return chow_mul(c, [(-2) ** k for k in range(4)])  # 1/(1+2H) = sum (-2H)^k
+
+
+def todd_class_of_q() -> list:
+    _, c1, c2, c3 = chern_classes_of_tq()
+    assert integral([0, 0, 0, c3]) == 4  # Euler characteristic of Q
+    # td = 1 + c1/2 + (c1^2 + c2)/12 + c1 c2/24, in H-power coefficients
+    return [Fraction(1), c1 / 2, (c1 * c1 + c2) / 12, c1 * c2 / 24]
+
+
+def chern_character(rank: int, c1, c2) -> list:
+    """ch of a bundle with c1 = c1*H, c2 = c2*H^2 and c3 = 0."""
+    return [Fraction(rank), Fraction(c1), Fraction(c1 * c1 - 2 * c2) / 2,
+            Fraction(c1 ** 3 - 3 * c1 * c2) / 6]
+
+
+def line_character(k: int) -> list:
+    """ch(O(k)) = exp(kH)."""
+    return [Fraction(k) ** i / factorial(i) for i in range(4)]
+
+
+# the spinor bundle S: rank 2, c1 = -H, c2 = l = H^2/2 (Ottaviani 1988);
+# E0 = S(-1), so ch(E0(k)) = ch(S) ch(O(k-1))
+SPINOR_CH = chern_character(2, -1, Fraction(1, 2))
+
+
+def hrr_chi_line(k: int) -> Fraction:
+    return integral(chow_mul(line_character(k), todd_class_of_q()))
+
+
+def hrr_chi_spinor(k: int) -> Fraction:
+    ch = chow_mul(SPINOR_CH, line_character(k - 1))
+    return integral(chow_mul(ch, todd_class_of_q()))
+
 
 # Published resolution tables, n = 0..6.  Middle columns are
 # h0(O(-2+n)) + 4*h0(O(-3+n)) and 5*h0(O(-2+n)) on the quadric; ideal
@@ -142,3 +203,40 @@ def test_dimension_functions_monotone():
         assert h0_quadric3(k + 1) >= h0_quadric3(k)
         assert h0_spinor(k + 1) >= h0_spinor(k)
         assert h0_proj(4, k) >= 0 and h0_quadric3(k) >= 0 and h0_spinor(k) >= 0
+
+
+def test_hrr_todd_class_of_q():
+    assert chern_classes_of_tq() == [1, 3, 4, 2]  # c1 = 3H, c2 = 4H^2, c3 = 2H^3
+    # td(Q) = 1 + 3H/2 + 13H^2/12 + pt, with pt = H^3/2
+    assert todd_class_of_q() == [1, Fraction(3, 2), Fraction(13, 12), Fraction(1, 2)]
+    assert hrr_chi_line(0) == 1
+
+
+def test_hrr_pins_h0_quadric3():
+    for k in range(-2, 40):
+        assert hrr_chi_line(k) == h0_quadric3(k), k
+    # Serre duality with omega = O(-3): chi(O(k)) = -h0(O(-3-k)) below
+    for k in range(-40, -2):
+        assert h0_quadric3(k) == 0
+        assert hrr_chi_line(k) == -h0_quadric3(-3 - k), k
+
+
+def test_hrr_pins_h0_spinor():
+    for k in range(-1, 40):
+        assert hrr_chi_spinor(k) == h0_spinor(k), k
+    # below, h3(E0(k)) = h0(E0(-k)) by Serre duality
+    for k in range(-40, -1):
+        assert h0_spinor(k) == 0
+        assert hrr_chi_spinor(k) == -h0_spinor(-k), k
+
+
+def test_hrr_pins_spinor_constants():
+    ch = chow_mul(SPINOR_CH, line_character(-1))
+    assert ch[0] == SPINOR_RANK
+    assert ch[1] == SPINOR_C1  # c1(E0) = ch_1, in H units
+    # rank 2: E0^v = E0 (x) det(E0)^-1 = E0(-c1), so E0(a)^v = E0(-c1 - a)
+    assert SPINOR_DUAL_SHIFT == -SPINOR_C1
+    # Serre duality on a threefold: chi(F) = -chi(F^v (x) omega), omega = O(-c1(TQ))
+    omega = -chern_classes_of_tq()[1]
+    for k in range(-20, 20):
+        assert hrr_chi_spinor(k) == -hrr_chi_spinor(SPINOR_DUAL_SHIFT - k + omega), k

@@ -1,0 +1,130 @@
+"""Start-up boundaries: what a fresh process loads, and the lazy package root.
+
+Each boundary check runs in a fresh interpreter and compares the modules
+present before and after the statement under test, so a module that the
+interpreter's site set-up happens to preload never counts against the
+package.  These are not timing gates: they pin which modules load.
+"""
+
+import ast
+import os
+import subprocess
+import sys
+import types
+from pathlib import Path
+
+import pytest
+
+import quadliaison
+
+SRC = str(Path(__file__).parent.parent / "src")
+
+# What the package root re-exported when it imported every submodule eagerly.
+REEXPORTS = {
+    "ambient": "P2 P3 P4 QUADRIC3 Ambient parse_ambient proj_space",
+    "classify": "CANDIDATE_CAP DEFAULT_TWIST_BOUNDS MATCH_WINDOW GeneratorEstimate "
+    "enumerate_rank4_candidates etype_candidates etype_middle generator_estimate "
+    "kernel_table_from_resolution match_acm_kernel rank4_candidate_count",
+    "curves": "DEFAULT_WINDOW CohomTable CurveClass Feasibility RegularityReport Window "
+    "acm_embedding_obstruction ambient_table curve_sections full_ideal_table ideal_h0 "
+    "ideal_h0_table klein_parity_check nonspecial_threshold parse_window plane_genus "
+    "quadric_surface_genus_spectrum regularity render_value_csv render_value_row rr_chi "
+    "section_table",
+    "errors": "InconsistencyError InfeasibleError MappingConeInconsistent "
+    "NegativeDimension QLError RangeTooLarge",
+    "hilbert": "binom h0_proj h0_quadric3 h0_spinor",
+    "liaison": "CellCheck CILinkage ConsistencyReport ResolutionFlavor ResolutionTriple "
+    "ci_residual mapping_cone_e_from_n mapping_cone_n_from_e quadric_linkage "
+    "resolution_consistency_check",
+    "sheaves": "AtomKind SheafExpr TwistAtom line_bundle spinor zero_sheaf",
+    "verify": "CheckResult all_ok run_reference_checks",
+}
+REEXPORTED = [(module, name) for module, names in REEXPORTS.items() for name in names.split()]
+# ``from quadliaison import *`` bound the re-exports and, as a side effect of
+# the eager imports, the eight submodules themselves.
+STAR_NAMES = {name for _, name in REEXPORTED} | set(REEXPORTS)
+
+TABLE_MODULES = {"quadliaison", "quadliaison.cli", "quadliaison.ambient",
+                 "quadliaison.curves", "quadliaison.errors", "quadliaison.hilbert"}
+
+
+def loaded_by(statement: str) -> set[str]:
+    """Names of the modules a fresh interpreter loads while it runs ``statement``."""
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        f"{statement}\n"
+        "print(sorted(set(sys.modules) - before))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return set(ast.literal_eval(proc.stdout.splitlines()[-1]))
+
+
+def package_modules(modules: set[str]) -> set[str]:
+    return {m for m in modules if m == "quadliaison" or m.startswith("quadliaison.")}
+
+
+def test_importing_the_root_loads_no_submodule():
+    assert package_modules(loaded_by("import quadliaison")) == {"quadliaison"}
+
+
+def test_library_imports_skip_dataclasses_and_the_reference_suite():
+    loaded = loaded_by("from quadliaison import ambient, classify, curves, errors, liaison")
+    assert "dataclasses" not in loaded
+    assert "quadliaison.verify" not in loaded
+
+
+TABLE_ARGV = ["table", "--ambient", "q", "-d", "8", "-g", "4", "--rows", "ideal"]
+
+
+@pytest.mark.parametrize("argv, extra", [
+    (TABLE_ARGV, set()),
+    (["table", "--ambient", "p4", "-d", "8", "-g", "4"], set()),
+    (["link", "-d", "8", "-g", "4", "--ci", "2,2,3"], {"quadliaison.liaison"}),
+    (["resolve", "--ambient", "q", "-d", "8", "-g", "4", "--etype"],
+     {"quadliaison.liaison", "quadliaison.classify", "quadliaison.sheaves"}),
+    (["verify"], {"quadliaison.liaison", "quadliaison.classify", "quadliaison.sheaves",
+                  "quadliaison.verify"}),
+])
+def test_each_command_loads_only_its_modules(argv, extra):
+    loaded = loaded_by(f"from quadliaison import cli\nassert cli.main({argv!r}) == 0")
+    assert package_modules(loaded) == TABLE_MODULES | extra
+    assert "dataclasses" not in loaded
+    assert "json" not in loaded
+
+
+def test_json_is_loaded_on_the_json_path_only():
+    argv = TABLE_ARGV + ["--format", "json"]
+    loaded = loaded_by(f"from quadliaison import cli\nassert cli.main({argv!r}) == 0")
+    assert "json" in loaded
+    assert package_modules(loaded) == TABLE_MODULES
+
+
+def test_root_names_are_the_submodule_attributes():
+    for module, name in REEXPORTED:
+        submodule = getattr(quadliaison, module)
+        assert isinstance(submodule, types.ModuleType), module
+        assert getattr(quadliaison, name) is getattr(submodule, name), name
+
+
+def test_star_import_binds_the_same_names():
+    namespace: dict = {}
+    exec("from quadliaison import *", namespace)
+    assert set(namespace) - {"__builtins__"} == STAR_NAMES
+    assert sorted(quadliaison.__all__) == sorted(STAR_NAMES)
+
+
+def test_dir_lists_every_export():
+    assert STAR_NAMES <= set(dir(quadliaison))
+    assert "__version__" in dir(quadliaison)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        quadliaison.no_such_name
+    with pytest.raises(ImportError):
+        from quadliaison import no_such_name  # noqa: F401
