@@ -73,7 +73,9 @@ def match_acm_kernel(
     Below twist -twist_hi no candidate has sections, since O(t) needs
     t + n >= 0, E0(t) needs t + n >= 2 and every t is at most twist_hi.
     So a target that is nonzero there matches nothing, and otherwise only
-    the twists from max(lo, -twist_hi) up are compared.
+    the twists from max(lo, -twist_hi) up are compared.  They are compared
+    from the top twist down: counts grow with the twist, so the first
+    comparison already rejects nearly every candidate.
     """
     lo, hi = window
     if hi - lo + 1 < 5:
@@ -84,7 +86,7 @@ def match_acm_kernel(
     candidates = enumerate_rank4_candidates(twist_lo, twist_hi)
     if any(target[n] for n in range(lo, min(hi + 1, -twist_hi))):
         return []
-    twists = range(max(lo, -twist_hi), hi + 1)
+    twists = range(hi, max(lo, -twist_hi) - 1, -1)
     return [cand for cand in candidates if all(cand.h0(n) == target[n] for n in twists)]
 
 

@@ -4,6 +4,11 @@ Expressions are multisets of atoms, canonicalized on construction so that
 equality is syntactic: line bundles before spinor summands, twists
 descending within each kind.  All arithmetic (rank, first Chern number,
 section counts) is atom-wise and exact.
+
+``SheafExpr.h0`` is the hot kernel of kernel classification.  It is one
+loop over the (kind, twist), multiplicity pairs that calls
+``hilbert.h0_spinor`` or the ambient's ``h0`` directly, with no method
+call per atom.
 """
 
 from __future__ import annotations
@@ -46,12 +51,6 @@ class TwistAtom(NamedTuple):
         if self.kind is AtomKind.SPINOR:
             return TwistAtom(self.kind, hilbert.SPINOR_DUAL_SHIFT - self.twist)
         return TwistAtom(self.kind, -self.twist)
-
-    def h0(self, n: int, ambient: Ambient) -> int:
-        k = self.twist + n
-        if self.kind is AtomKind.SPINOR:
-            return hilbert.h0_spinor(k)
-        return ambient.h0(k)
 
     def sort_key(self) -> tuple:
         return (int(self.kind), -self.twist)
@@ -162,7 +161,14 @@ class SheafExpr:
         return self._replace_atoms(tuple(lines + spinors))
 
     def h0(self, n: int) -> int:
-        return sum(atom.h0(n, self.ambient) * mult for atom, mult in self.atoms)
+        # AtomKind.LINE is 0, so a falsy kind is a line bundle; both counts
+        # are looked up on each call, through their module or ambient
+        spinor_h0 = hilbert.h0_spinor
+        line_h0 = self.ambient.h0
+        total = 0
+        for (kind, twist), mult in self.atoms:
+            total += (spinor_h0(twist + n) if kind else line_h0(twist + n)) * mult
+        return total
 
     def __add__(self, other: "SheafExpr") -> "SheafExpr":
         if not isinstance(other, SheafExpr):

@@ -226,6 +226,27 @@ def test_match_work_does_not_grow_below_the_twist_bounds(monkeypatch):
     assert kernel in results[-9][0]
 
 
+@pytest.mark.parametrize("target", [KERNEL_84, KERNEL_40], ids=["84", "40"])
+def test_match_compares_from_the_top_twist(monkeypatch, target):
+    """With the candidates built, matching tests each of the 1,320 once at
+    the window's top twist, where counts separate them best, and goes on
+    only with the few that survive it: at most 1,400 section counts,
+    against about 2,000 when the twists are compared from the bottom up."""
+    enumerate_rank4_candidates()
+    calls = []
+    original = SheafExpr.h0
+
+    def counted(self, n):
+        calls.append(n)
+        return original(self, n)
+
+    monkeypatch.setattr(SheafExpr, "h0", counted)
+    got = match_acm_kernel(target)
+    assert len(calls) <= 1400
+    assert calls.count(MATCH_WINDOW[1]) == 1320
+    assert got == filter_match(target, MATCH_WINDOW, *DEFAULT_TWIST_BOUNDS)
+
+
 def test_kernel_table_from_resolution():
     got = kernel_table_from_resolution(C84, line_bundle(-2) + line_bundle(-3, 4))
     assert got == KERNEL_84

@@ -12,11 +12,14 @@ import pytest
 from quadliaison import (
     P4,
     QUADRIC3,
+    Ambient,
     AtomKind,
     SheafExpr,
     TwistAtom,
     h0_quadric3,
+    hilbert,
     line_bundle,
+    proj_space,
     spinor,
     zero_sheaf,
 )
@@ -134,3 +137,62 @@ def test_additivity():
         assert total.c1 == left.c1 + right.c1
         for n in (-1, 0, 2, 5):
             assert total.h0(n) == left.h0(n) + right.h0(n)
+
+
+def atomwise_h0(expr: SheafExpr, n: int) -> int:
+    """The section count before the one-loop kernel, kept as its oracle:
+    atom by atom, a TwistAtom's kind choosing hilbert.h0_spinor or Ambient.h0."""
+    def atom_h0(atom: TwistAtom) -> int:
+        k = atom.twist + n
+        if atom.kind is AtomKind.SPINOR:
+            return hilbert.h0_spinor(k)
+        return expr.ambient.h0(k)
+
+    return sum(atom_h0(atom) * mult for atom, mult in expr.atoms)
+
+
+def test_atom_kinds_are_pinned():
+    # SheafExpr.h0 takes a falsy kind for a line bundle
+    assert AtomKind.LINE == 0 and not AtomKind.LINE
+    assert AtomKind.SPINOR == 1 and AtomKind.SPINOR
+    assert list(AtomKind) == [AtomKind.LINE, AtomKind.SPINOR]
+
+
+def random_atoms(rng, kinds) -> tuple:
+    return tuple(
+        (TwistAtom(rng.choice(kinds), rng.randint(-12, 12)), rng.randint(1, 4))
+        for _ in range(rng.randint(1, 6))
+    )
+
+
+@pytest.mark.parametrize("ambient", [proj_space(2), proj_space(3), P4, proj_space(5), QUADRIC3])
+def test_h0_agrees_with_atomwise_oracle(ambient):
+    rng = random.Random(f"h0-{ambient.label()}")
+    kinds = list(AtomKind) if ambient.is_quadric else [AtomKind.LINE]
+    exprs = [zero_sheaf(ambient)]
+    exprs += [SheafExpr(random_atoms(rng, kinds), ambient) for _ in range(150)]
+    spinors = 0
+    for expr in exprs:
+        spinors += any(atom.kind is AtomKind.SPINOR for atom, _ in expr.atoms)
+        for n in range(-20, 41):
+            assert expr.h0(n) == atomwise_h0(expr, n), (expr, n)
+    assert exprs[0].h0(40) == 0
+    # the quadric draws mix lines and spinors; projective ones cannot
+    assert (spinors > 100) == ambient.is_quadric
+
+
+def test_h0_reads_the_counts_at_call_time(monkeypatch):
+    """SheafExpr.h0 looks up hilbert.h0_spinor and Ambient.h0 on each call,
+    so a wrapper installed on either one sees every count."""
+    calls = []
+    for owner, name in ((hilbert, "h0_spinor"), (Ambient, "h0")):
+        original = getattr(owner, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    expr = spinor(-1, 2) + line_bundle(-2, 3) + line_bundle(0)
+    assert expr.h0(3) == 2 * 4 + 3 * 5 + 30
+    assert sorted(calls) == ["h0", "h0", "h0_spinor"]
