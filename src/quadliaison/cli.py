@@ -96,8 +96,9 @@ class _Run:
             raise ValueError(f"{key} must be an integer, got {value!r}") from None
 
     def window(self) -> Window:
-        text = self.args.window or self.scenario.get("window") or os.environ.get("QL_WINDOW")
-        return parse_window(text) if text else DEFAULT_WINDOW
+        # an empty flag or scenario value is a bad window; an empty QL_WINDOW is unset
+        text = self.get("window", os.environ.get("QL_WINDOW") or None)
+        return DEFAULT_WINDOW if text is None else parse_window(text)
 
     def ambient(self) -> Ambient:
         return parse_ambient(self.require("ambient"))
@@ -156,12 +157,12 @@ def cmd_table(args: argparse.Namespace) -> int:
     curve = None if rows == "ambient" else run.curve()
     if rows == "full":
         table = full_ideal_table(curve, window)
+        twists = range(window[0], window[1] + 1)
         run.emit(table.render_grid, table.render_csv, lambda: {
             "row": "full",
             "window": list(window),
             "rows": {
-                f"h{i}": [[n, table.cell(i, n)] for n in range(window[0], window[1] + 1)]
-                for i in (3, 2, 1, 0)
+                f"h{i}": [[n, v] for n, v in zip(twists, table.rows[i])] for i in (3, 2, 1, 0)
             },
             "curve": _curve_json(curve),
             "notes": list(table.notes),

@@ -16,14 +16,14 @@ a time: the ambient row maps math.comb over the twists, the section row is
 an arithmetic progression and the ideal row is their difference.  In the
 full table the h1 row is zero, the h2 row is runs split at n = 0 and at
 the nonspecial threshold, and the h3 row is an ambient row read backwards
-(Serre duality).  Both grid renderers share one column aligner, and both
-CSV renderers one joiner.
+(Serre duality).  A full table stores these four rows, and its regularity
+is their first zero diagonal h1(m-1) = h2(m-2) = h3(m-3) = 0.  Both grid
+renderers share one column aligner, and both CSV renderers one joiner.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import repeat
 from operator import sub
 from typing import NamedTuple
 
@@ -96,7 +96,7 @@ def section_table(curve: CurveClass, window: Window = DEFAULT_WINDOW) -> dict[in
 def _section_row(curve: CurveClass, lo: int, hi: int) -> list[int]:
     """``curve_sections`` for n = lo..hi: zeros, 1 at n = 0, then a step of d."""
     d, g = curve.degree, curve.genus
-    row = [0] * (min(hi, -1) - lo + 1)
+    row = [0] * max(0, min(hi, -1) - lo + 1)
     if lo <= 0 <= hi:
         row.append(1)
     row += range(max(lo, 1) * d + 1 - g, hi * d + 2 - g, d)
@@ -148,33 +148,32 @@ _GRID_ROWS = (3, 2, 1, 0)
 class CohomTable(NamedTuple):
     """Exact table h^i(I_C(n)), i in 0..3, n over a window.
 
-    A cell value of None means the arguments implemented here do not
-    determine it.  Known cells are nonnegative integers.
+    ``rows[i]`` holds h^i at the twists lo..hi.  A cell value of None
+    means the arguments implemented here do not determine it.  Known
+    cells are nonnegative integers.
     """
 
     window: Window
-    cells: dict[tuple[int, int], int | None]
+    rows: tuple[list[int | None], ...]
     notes: tuple[str, ...] = ()
 
     def cell(self, i: int, n: int) -> int | None:
-        return self.cells[(i, n)]
+        lo, hi = self.window
+        if i not in range(len(self.rows)) or n not in range(lo, hi + 1):
+            raise KeyError((i, n))
+        return self.rows[i][n - lo]
 
-    def known_zero(self, i: int, n: int) -> bool:
-        return self.cells.get((i, n)) == 0
-
-    def all_known_zero(self) -> bool:
-        return all(v == 0 for v in self.cells.values())
+    @property
+    def cells(self) -> dict[tuple[int, int], int | None]:
+        """The cells keyed by (i, n), twist by twist and i = 0..3 within one."""
+        columns = zip(range(self.window[0], self.window[1] + 1), zip(*self.rows))
+        return {(i, n): v for n, column in columns for i, v in enumerate(column)}
 
     def _text_rows(self) -> tuple[list[str], list[list[str]]]:
         """The twists, and the rows h3..h0 as printed: ``?`` for an unknown cell."""
         lo, hi = self.window
-        twists = range(lo, hi + 1)
-        cells = self.cells
-        rows = [
-            ["?" if v is None else str(v) for v in map(cells.__getitem__, zip(repeat(i), twists))]
-            for i in _GRID_ROWS
-        ]
-        return list(map(str, twists)), rows
+        rows = [["?" if v is None else str(v) for v in self.rows[i]] for i in _GRID_ROWS]
+        return list(map(str, range(lo, hi + 1))), rows
 
     def render_grid(self) -> str:
         twists, rows = self._text_rows()
@@ -223,8 +222,8 @@ def _h1_curve_row(curve: CurveClass, lo: int, hi: int) -> list[int | None]:
     row: list[int | None] = list(range(g - 1 - lo * d, g - 1 - (min(hi, -1) + 1) * d, -d))
     if lo <= 0 <= hi:
         row.append(g)
-    row += [None] * (min(hi, threshold - 1) - max(lo, 1) + 1)
-    row += [0] * (hi - max(lo, threshold) + 1)
+    row += [None] * max(0, min(hi, threshold - 1) - max(lo, 1) + 1)
+    row += [0] * max(0, hi - max(lo, threshold) + 1)
     return row
 
 
@@ -251,22 +250,14 @@ def full_ideal_table(curve: CurveClass, window: Window = DEFAULT_WINDOW) -> Coho
     if not curve.ambient.is_quadric and curve.ambient.dim < 3:
         raise ValueError("full tables need an ambient of dimension >= 3")
     lo, hi = window
-    rows = zip(
-        range(lo, hi + 1),
+    rows = (
         _ideal_row(curve, lo, hi),
+        [0] * (hi - lo + 1),
         _h1_curve_row(curve, lo, hi),
         _h3_ambient_row(curve.ambient, lo, hi),
     )
-    cells: dict[tuple[int, int], int | None] = {}
-    for n, h0, h2, h3 in rows:
-        cells[(0, n)] = h0
-        cells[(1, n)] = 0
-        cells[(2, n)] = h2
-        cells[(3, n)] = h3
-    notes = ()
-    if lo < 0:
-        notes = ("negative-twist h2 cells assume an integral curve",)
-    return CohomTable(window, cells, notes)
+    notes = ("negative-twist h2 cells assume an integral curve",) if lo < 0 else ()
+    return CohomTable(window, rows, notes)
 
 
 class RegularityReport(NamedTuple):
@@ -277,17 +268,17 @@ class RegularityReport(NamedTuple):
 def regularity(table: CohomTable) -> RegularityReport:
     """Smallest m certified by the table: h^i(I(m-i)) = 0 for i = 1,2,3.
 
-    Only in-window cells count as evidence, so the answer is the smallest
-    m whose full diagonal lies in the window and vanishes.  A table that
-    is identically zero certifies its own left edge.
+    Only in-window cells count as evidence, so the answer is the first
+    zero of zip(h1[2:], h2[1:], h3), whose j-th entry is the diagonal of
+    m = lo + 3 + j.  An identically zero table certifies its left edge.
     """
-    lo, hi = table.window
-    if table.all_known_zero():
+    lo = table.window[0]
+    _, h1, h2, h3 = table.rows
+    if all(row.count(0) == len(row) for row in table.rows):
         return RegularityReport(lo, ())
-    for m in range(lo + 3, hi + 2):
-        diag = tuple((i, m - i) for i in (1, 2, 3))
-        if all(table.known_zero(i, n) for i, n in diag):
-            return RegularityReport(m, diag)
+    for m, diagonal in enumerate(zip(h1[2:], h2[1:], h3), lo + 3):
+        if diagonal == (0, 0, 0):
+            return RegularityReport(m, ((1, m - 1), (2, m - 2), (3, m - 3)))
     return RegularityReport(None, ())
 
 

@@ -44,7 +44,7 @@ def h0_proj(dim: int, k: int) -> int:
 
 def h0_proj_row(dim: int, lo: int, hi: int) -> list[int]:
     """``h0_proj(dim, k)`` for k = lo..hi, as one map of ``math.comb``."""
-    row = [0] * (min(hi, -1) - lo + 1)
+    row = [0] * max(0, min(hi, -1) - lo + 1)
     if hi >= 0:
         row += map(math.comb, range(max(lo, 0) + dim, hi + dim + 1), repeat(dim))
     return row
@@ -63,7 +63,7 @@ def h0_quadric3(k: int) -> int:
 
 def h0_quadric3_row(lo: int, hi: int) -> list[int]:
     """``h0_quadric3(k)`` for k = lo..hi: the row of C(k+4, 4) minus that of C(k+2, 4)."""
-    row = [0] * (min(hi, -1) - lo + 1)
+    row = [0] * max(0, min(hi, -1) - lo + 1)
     if hi >= 0:
         start = max(lo, 0)
         row += map(sub, map(math.comb, range(start + 4, hi + 5), repeat(4)),

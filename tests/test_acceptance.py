@@ -128,7 +128,7 @@ def test_criterion_5_regularity_and_propagation():
         hi = table.window[1]
         for m in range(report.regularity, hi + 2):
             for i in (1, 2, 3):
-                assert table.known_zero(i, m - i)
+                assert table.cell(i, m - i) == 0
 
 
 def test_criterion_6_obstructions_and_spectra():

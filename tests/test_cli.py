@@ -388,6 +388,24 @@ def test_flag_window_beats_env(monkeypatch, capsys):
     assert out == " n:  0  1  2\nh0:  0  0  1\n"
 
 
+@pytest.mark.parametrize("source", ["flag", "scenario", "flag over scenario"])
+def test_empty_window_is_a_usage_error(source, monkeypatch, tmp_path, capsys):
+    """An empty --window= or scenario window= is a bad window, not a
+    fall-through to the next source; an empty QL_WINDOW counts as unset."""
+    monkeypatch.setenv("QL_WINDOW", "0:3")
+    argv = ["table", "--ambient", "q", "-d", "8", "-g", "4", "--rows", "ideal"]
+    if source != "flag":
+        path = tmp_path / "s.ql"
+        path.write_text("window=\n" if source == "scenario" else "window=0:2\n")
+        argv += ["--scenario", str(path)]
+    if source != "scenario":
+        argv.append("--window=")
+    assert run(capsys, *argv) == (EXIT_USAGE, "", "error: window must be lo:hi, got ''\n")
+    monkeypatch.setenv("QL_WINDOW", "")
+    code, out, _ = run(capsys, "table", "--ambient", "q", "-d", "8", "-g", "4", "--rows", "ideal")
+    assert (code, out.split()[1]) == (EXIT_OK, "-1")
+
+
 def test_app_raises_systemexit(monkeypatch, capsys):
     monkeypatch.setattr(
         "sys.argv", ["ql", "link", "-d", "8", "-g", "4", "--ci", "2,2,3"],

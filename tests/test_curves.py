@@ -5,9 +5,11 @@ count; the genus spectrum on the quadric surface is brute-forced over
 bidegrees; the nonspecialty threshold and the embedding obstruction are
 rederived by direct scan; the row-at-a-time tables and their renderers
 are compared with the twist-at-a-time builders and renderers they
-replaced, kept below.
+replaced, and regularity on the stored rows with the walk over a cell
+dict that it replaced, all kept below.
 """
 
+import json
 import math
 import random
 
@@ -23,6 +25,7 @@ from quadliaison import (
     CurveClass,
     Feasibility,
     NegativeDimension,
+    RegularityReport,
     acm_embedding_obstruction,
     ambient_table,
     full_ideal_table,
@@ -41,7 +44,8 @@ from quadliaison import (
     section_table,
 )
 from quadliaison import curves, h0_proj, h0_quadric3
-from quadliaison.curves import MAX_WINDOW_TWISTS
+from quadliaison.cli import main
+from quadliaison.curves import MAX_WINDOW_TWISTS, curve_sections
 
 C84_P4 = CurveClass(P4, 8, 4)
 C84_Q = CurveClass(QUADRIC3, 8, 4)
@@ -115,6 +119,19 @@ def old_full_cells(curve, window):
         cells[(2, n)] = old_h1_curve(curve, n)
         cells[(3, n)] = old_h3_ambient(curve.ambient, n)
     return cells
+
+
+def old_regularity(window, cells):
+    """The dict walk: an all-zero table certifies lo, otherwise the first m
+    whose cells (1, m-1), (2, m-2) and (3, m-3) are known zeros."""
+    lo, hi = window
+    if all(v == 0 for v in cells.values()):
+        return RegularityReport(lo, ())
+    for m in range(lo + 3, hi + 2):
+        diag = tuple((i, m - i) for i in (1, 2, 3))
+        if all(cells.get(key) == 0 for key in diag):
+            return RegularityReport(m, diag)
+    return RegularityReport(None, ())
 
 
 def old_align(rows):
@@ -237,14 +254,12 @@ def test_regularity_paper_curves():
 
 
 def test_regularity_degenerate_and_unknown():
-    zero = CohomTable((2, 5), {(i, n): 0 for i in range(4) for n in range(2, 6)})
+    zero = CohomTable((2, 5), tuple([0] * 4 for _ in range(4)))
     assert regularity(zero).regularity == 2
     # unknown diagonals postpone certification
     report = regularity(full_ideal_table(CurveClass(P3, 2, 3), (0, 6)))
     assert report.regularity == 5
-    all_unknown = CohomTable(
-        (0, 6), {(i, n): None for i in range(4) for n in range(7)}
-    )
+    all_unknown = CohomTable((0, 6), tuple([None] * 7 for _ in range(4)))
     assert regularity(all_unknown).regularity is None
 
 
@@ -456,6 +471,7 @@ def test_row_tables_and_renderers_match_the_twist_at_a_time_code():
                 )
                 assert table.render_grid() == old_grid(window, table.cells), ctx
                 assert table.render_csv() == old_csv(window, table.cells), ctx
+                assert regularity(table) == old_regularity(window, table.cells), ctx
                 checked += 1
     # the draws reach both outcomes often
     assert checked > 300 and witnesses > 50, (checked, witnesses)
@@ -463,19 +479,61 @@ def test_row_tables_and_renderers_match_the_twist_at_a_time_code():
 
 def test_directly_built_tables_render_like_the_old_renderers():
     rng = random.Random(532)
-    for _ in range(60):
+    for k in range(80):
         lo = rng.randint(-30, 30)
-        window = (lo, lo + rng.randint(0, 40))
+        # 1- and 2-twist windows first; every tenth table is identically zero
+        hi = lo + (k % 2 if k < 20 else rng.randint(0, 40))
+        window = (lo, hi)
+        twists = range(lo, hi + 1)
         cells = {}
-        for n in range(window[0], window[1] + 1):
+        for n in twists:
             for i in rng.sample(range(4), 4):
-                cells[(i, n)] = rng.choice((None, 0, rng.randint(1, 10 ** rng.randint(1, 30))))
-        table = CohomTable(window, cells)
+                cells[(i, n)] = 0 if k % 10 == 9 else rng.choice(
+                    (None, 0, rng.randint(1, 10 ** rng.randint(1, 30)))
+                )
+        table = CohomTable(window, tuple([cells[(i, n)] for n in twists] for i in range(4)))
+        assert table.cells == cells
+        with pytest.raises(AttributeError):
+            table.cells = cells
+        assert all(table.cell(i, n) == v for (i, n), v in cells.items())
+        outside = [(i, n) for i in (-1, 4) for n in (lo, hi)]
+        outside += [(i, n) for i in range(4) for n in (lo - 1, hi + 1)]
+        for i, n in outside:
+            with pytest.raises(KeyError):
+                table.cell(i, n)
+        assert regularity(table) == old_regularity(window, cells)
         assert table.render_grid() == old_grid(window, cells)
         assert table.render_csv() == old_csv(window, cells)
         values = {n: rng.randint(0, 10**12) for n in rng.sample(range(-50, 50), rng.randint(0, 12))}
         assert render_value_row(values) == old_value_row(values)
         assert render_value_csv(values) == old_value_csv(values)
+
+
+@pytest.mark.parametrize("window", [(10**19, 10**19 + 2), (-10**19 - 2, -10**19)],
+                         ids=["past+1e19", "past-1e19"])
+@pytest.mark.parametrize("ambient", ["p4", "q"])
+@pytest.mark.parametrize("rows", ["ambient", "section", "ideal", "full"])
+def test_tables_past_the_index_size_print_the_per_twist_values(rows, ambient, window, capsys):
+    """Zero runs are sized by clamped counts, so windows beyond 2^63 on
+    either side print every row kind instead of raising OverflowError."""
+    lo, hi = window
+    amb = QUADRIC3 if ambient == "q" else P4
+    curve = CurveClass(amb, 8, 4)
+    rc = main(["table", f"--ambient={ambient}", "-d", "8", "-g", "4", f"--rows={rows}",
+               f"--window={lo}:{hi}", "--format=json"])
+    out, err = capsys.readouterr()
+    assert (rc, err) == (0, "")
+    record = json.loads(out)
+    twists = range(lo, hi + 1)
+    if rows == "full":
+        cells = old_full_cells(curve, window)
+        assert record["rows"] == {
+            f"h{i}": [[n, cells[(i, n)]] for n in twists] for i in (3, 2, 1, 0)
+        }
+        return
+    per_twist = {"ambient": amb.h0, "section": lambda n: curve_sections(curve, n),
+                 "ideal": lambda n: ideal_h0(curve, n)}[rows]
+    assert record["values"] == [[n, per_twist(n)] for n in twists]
 
 
 def test_table_work_does_not_grow_with_the_window(monkeypatch):

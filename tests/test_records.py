@@ -42,8 +42,8 @@ RECORDS = [
     (CellCheck, {"twist": 2, "lhs": 5, "rhs": 4}, {}),
     (ConsistencyReport, {"resolution": TRIPLE, "window": (0, 6), "cells": (CELL,),
                          "rank_ok": True, "c1_ok": False}, {}),
-    (CohomTable, {"window": (0, 1), "cells": {(0, 0): 0, (0, 1): 5}, "notes": ("n",)},
-     {"notes": ()}),
+    (CohomTable, {"window": (0, 1), "rows": ([0, 5], [0, 0], [1, None], [0, 0]),
+                  "notes": ("n",)}, {"notes": ()}),
     (RegularityReport, {"regularity": 3, "witness": ((1, 2), (2, 1), (3, 0))}, {}),
     (Feasibility, {"feasible": False, "witness_twist": 1}, {"witness_twist": None}),
     (GeneratorEstimate, {"counts": {2: 5}, "regularity": 2,
