@@ -13,13 +13,13 @@ change with the window, and it may return no candidate or several.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, groupby
 from typing import Mapping, NamedTuple
 
 from .curves import DEFAULT_WINDOW, CurveClass, Window, full_ideal_table, ideal_h0, regularity
 from .errors import NegativeDimension, RangeTooLarge
 from .hilbert import binom
-from .sheaves import SheafExpr, line_bundle, sum_builder, zero_sheaf
+from .sheaves import SheafExpr, line_bundle, zero_sheaf
 
 CANDIDATE_CAP = 10_000
 DEFAULT_TWIST_BOUNDS: tuple[int, int] = (-6, 3)
@@ -33,16 +33,22 @@ def rank4_candidate_count(twist_lo: int, twist_hi: int) -> int:
     return w * binom(w + 1, 2) + binom(w + 1, 2) + binom(w + 3, 4)
 
 
+def _runs(combo: tuple) -> tuple:
+    """A non-increasing tuple of twists as canonical (twist, multiplicity) pairs."""
+    return tuple((twist, len(list(run))) for twist, run in groupby(combo))
+
+
 @lru_cache(maxsize=8)
 def _enumerate_cached(twist_lo: int, twist_hi: int) -> tuple[SheafExpr, ...]:
-    # descending twists make every combination a non-increasing run; the
-    # three shapes differ in their spinor count, so no candidate repeats
+    # descending twists make every combination a non-increasing run, whose
+    # groupby runs are already canonical; the three shapes differ in their
+    # spinor count, so no candidate repeats
     twists = range(twist_hi, twist_lo - 1, -1)
-    build = sum_builder(twists)
-    pairs = list(combinations_with_replacement(twists, 2))
-    out = [build(pair, (a,)) for a in twists for pair in pairs]
+    build = zero_sheaf()._replace_atoms
+    pairs = [_runs(pair) for pair in combinations_with_replacement(twists, 2)]
+    out = [build(pair, ((a, 1),)) for a in twists for pair in pairs]
     out += [build((), pair) for pair in pairs]
-    out += [build(quad, ()) for quad in combinations_with_replacement(twists, 4)]
+    out += [build(_runs(quad), ()) for quad in combinations_with_replacement(twists, 4)]
     return tuple(sorted(out, key=SheafExpr.render))
 
 

@@ -28,6 +28,7 @@ from .curves import (
     Window,
     ambient_table,
     full_ideal_table,
+    ideal_h0,
     ideal_h0_table,
     parse_window,
     render_value_csv,
@@ -136,6 +137,22 @@ class _Run:
         print(output, end="")
 
 
+def _stop_at_unprintable(run: _Run, ambient: Ambient, curve, window: Window) -> None:
+    """Walk the window's ambient counts (no curve) or ideal counts in twist
+    order and stop at the first with more digits than Python prints,
+    emitting it alone, which fails as the whole table would.  A negative
+    ideal count before it raises first, and none can come after it: an
+    ideal count that long exceeds the genus, so the counts are rising.
+    When no count is that long, the table computes them all again."""
+    digits = sys.get_int_max_str_digits()
+    limit = 10 ** digits if digits else float("inf")  # a cap of 0 means none
+    value = ambient.h0 if curve is None else lambda n: ideal_h0(curve, n)
+    for n in range(window[0], window[1] + 1):
+        count = value(n)
+        if count >= limit:
+            run.emit(*[lambda: str(count)] * 3)
+
+
 def _json_text(value) -> str:
     import json  # only the JSON format pays for this import
 
@@ -155,6 +172,10 @@ def cmd_table(args: argparse.Namespace) -> int:
     window = run.window()
     rows = run.get("rows", "full")
     curve = None if rows == "ambient" else run.curve()
+    ambient = run.ambient() if curve is None else curve.ambient
+    # full_ideal_table refuses ambients below dimension 3 before any count
+    if rows in ("ambient", "ideal") or rows == "full" and ambient.dim >= 3:
+        _stop_at_unprintable(run, ambient, curve, window)
     if rows == "full":
         table = full_ideal_table(curve, window)
         twists = range(window[0], window[1] + 1)
@@ -169,7 +190,7 @@ def cmd_table(args: argparse.Namespace) -> int:
         })
         return EXIT_OK
     if rows == "ambient":
-        values = ambient_table(run.ambient(), window)
+        values = ambient_table(ambient, window)
     elif rows == "section":
         values = section_table(curve, window)
     elif rows == "ideal":

@@ -111,8 +111,7 @@ class ResolutionTriple(NamedTuple("ResolutionTriple", [
     def render(self) -> str:
         return f"0 -> {self.kernel.render()} -> {self.middle.render()} -> I_C -> 0"
 
-    def __str__(self) -> str:
-        return self.render()
+    __str__ = render
 
 
 class CellCheck(NamedTuple):
@@ -139,33 +138,23 @@ class ConsistencyReport(NamedTuple):
         return self.rank_ok and self.c1_ok and all(c.ok for c in self.cells)
 
     def first_failure(self) -> CellCheck | None:
-        for cell in self.cells:
-            if not cell.ok:
-                return cell
-        return None
+        return next((cell for cell in self.cells if not cell.ok), None)
 
     def render_csv(self) -> str:
-        lines = ["n,lhs,rhs,pass"]
-        for c in self.cells:
-            lines.append(f"{c.twist},{c.lhs},{c.rhs},{'true' if c.ok else 'false'}")
-        return "\n".join(lines) + "\n"
+        lines = [f"{c.twist},{c.lhs},{c.rhs},{'true' if c.ok else 'false'}" for c in self.cells]
+        return "\n".join(["n,lhs,rhs,pass", *lines]) + "\n"
 
     def render_text(self) -> str:
-        lo, hi = self.window
         fail = self.first_failure()
         if fail is not None:
-            line = f"consistency FAIL at n={fail.twist}: {fail.lhs} != {fail.rhs}"
-        elif not (self.rank_ok and self.c1_ok):
-            line = (
+            return f"consistency FAIL at n={fail.twist}: {fail.lhs} != {fail.rhs}"
+        if not (self.rank_ok and self.c1_ok):
+            return (
                 f"consistency FAIL: rank diff {self.resolution.rank_diff} "
                 f"(want 1), c1 diff {self.resolution.c1_diff} (want 0)"
             )
-        else:
-            line = (
-                f"consistency PASS over n in [{lo},{hi}] "
-                f"(rank diff 1, c1 diff 0)"
-            )
-        return line
+        lo, hi = self.window
+        return f"consistency PASS over n in [{lo},{hi}] (rank diff 1, c1 diff 0)"
 
 
 def resolution_consistency_check(

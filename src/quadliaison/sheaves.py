@@ -1,106 +1,62 @@
 """Formal direct sums of twisted line bundles and spinor-type summands.
 
-Expressions are multisets of atoms, canonicalized on construction so that
-equality is syntactic: line bundles before spinor summands, twists
-descending within each kind.  All arithmetic (rank, first Chern number,
-section counts) is atom-wise and exact.
+Every ACM bundle on the quadric threefold is a sum of twists O(a) and
+E0(b), so an expression is two multisets of twists: ``lines`` holds the
+twists of its O(a) summands and ``spinors`` those of its E0(b).  Each is a
+canonical tuple of (twist, multiplicity) pairs, twists strictly descending
+and no multiplicity zero, so equality is syntactic; lines render before
+spinors.  All arithmetic (rank, first Chern number, section counts) is
+per summand and exact.
 
 ``SheafExpr.h0`` is the hot kernel of kernel classification.  It is one
-loop over the (kind, twist), multiplicity pairs that calls
-``hilbert.h0_spinor`` or the ambient's ``h0`` directly, with no method
-call per atom.
+loop over each field that calls the ambient's ``h0`` or ``hilbert.h0_spinor``
+directly, with no method call per summand.
 """
 
 from __future__ import annotations
 
-from enum import IntEnum
-from itertools import groupby
-from typing import Callable, NamedTuple
-
 from . import hilbert
 from .ambient import QUADRIC3, Ambient
 
-
-class AtomKind(IntEnum):
-    LINE = 0
-    SPINOR = 1
+#: canonical (twist, multiplicity) pairs of one kind of summand
+Twists = tuple[tuple[int, int], ...]
 
 
-class TwistAtom(NamedTuple):
-    """A single summand: O(twist) or E0(twist)."""
-
-    kind: AtomKind
-    twist: int
-
-    @property
-    def rank(self) -> int:
-        return hilbert.SPINOR_RANK if self.kind is AtomKind.SPINOR else 1
-
-    @property
-    def c1(self) -> int:
-        # c1(O(a)) = a; c1(E0(a)) = 2a + c1(E0) in hyperplane-class units.
-        if self.kind is AtomKind.SPINOR:
-            return hilbert.SPINOR_RANK * self.twist + hilbert.SPINOR_C1
-        return self.twist
-
-    def shifted(self, t: int) -> "TwistAtom":
-        return TwistAtom(self.kind, self.twist + t)
-
-    def dualized(self) -> "TwistAtom":
-        # O(a)^v = O(-a); E0(a)^v = E0(3-a), from E0^v = E0(3).
-        if self.kind is AtomKind.SPINOR:
-            return TwistAtom(self.kind, hilbert.SPINOR_DUAL_SHIFT - self.twist)
-        return TwistAtom(self.kind, -self.twist)
-
-    def sort_key(self) -> tuple:
-        return (int(self.kind), -self.twist)
-
-    def render(self) -> str:
-        name = "E0" if self.kind is AtomKind.SPINOR else "O"
-        return f"{name}({self.twist})"
-
-
-def _canonicalize(
-    atoms,
-) -> tuple[tuple[TwistAtom, int], ...]:
-    merged: dict[TwistAtom, int] = {}
-    for atom, mult in atoms:
+def _canonical(pairs, name: str) -> Twists:
+    """Merge the (twist, multiplicity) pairs of one kind: twists descending, no zeros."""
+    merged: dict[int, int] = {}
+    for twist, mult in pairs:
         if mult < 0:
-            raise ValueError(f"negative multiplicity {mult} for {atom.render()}")
+            raise ValueError(f"negative multiplicity {mult} for {name}({twist})")
         if mult:
-            merged[atom] = merged.get(atom, 0) + mult
-    return tuple(
-        (atom, merged[atom]) for atom in sorted(merged, key=TwistAtom.sort_key)
-    )
+            merged[twist] = merged.get(twist, 0) + mult
+    return tuple(sorted(merged.items(), reverse=True))
 
 
 class SheafExpr:
-    """Direct sum of twisted atoms over a fixed ambient space.
+    """Direct sum of twisted line bundles and spinor summands over one ambient.
 
-    ``atoms`` is a canonical tuple of (atom, multiplicity) pairs; an empty
-    tuple is the zero sheaf.  Spinor atoms require the quadric ambient.
-    Instances are immutable and compare and hash by (atoms, ambient).
+    ``lines`` and ``spinors`` are canonical tuples of (twist, multiplicity)
+    pairs for the O(twist) and E0(twist) summands; two empty tuples are the
+    zero sheaf.  Spinor summands require the quadric ambient.  Instances
+    are immutable and compare and hash by (lines, spinors, ambient), the
+    arguments ``__reduce__`` rebuilds them from.
     """
 
-    __slots__ = ("atoms", "ambient")
+    __slots__ = ("lines", "spinors", "ambient")
 
-    def __init__(
-        self, atoms: tuple[tuple[TwistAtom, int], ...] = (), ambient: Ambient = QUADRIC3
-    ) -> None:
-        object.__setattr__(self, "atoms", atoms)
+    def __init__(self, lines: Twists = (), spinors: Twists = (), ambient: Ambient = QUADRIC3):
+        object.__setattr__(self, "lines", lines)
+        object.__setattr__(self, "spinors", spinors)
         object.__setattr__(self, "ambient", ambient)
         self.__post_init__()
 
     def __post_init__(self) -> None:
         # every public construction canonicalizes here; _replace_atoms skips it
-        canon = _canonicalize(self.atoms)
-        object.__setattr__(self, "atoms", canon)
-        if not self.ambient.is_quadric:
-            for atom, _ in canon:
-                if atom.kind is AtomKind.SPINOR:
-                    raise ValueError(
-                        "spinor summands only exist on the quadric threefold"
-                    )
+        object.__setattr__(self, "lines", _canonical(self.lines, "O"))
+        object.__setattr__(self, "spinors", _canonical(self.spinors, "E0"))
+        if self.spinors and not self.ambient.is_quadric:
+            raise ValueError("spinor summands only exist on the quadric threefold")
 
     def __setattr__(self, name: str, value: object = None) -> None:
         raise AttributeError(f"cannot assign to field {name!r} of an immutable SheafExpr")
@@ -110,64 +66,69 @@ class SheafExpr:
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.atoms, self.ambient) == (other.atoms, other.ambient)
+        return self.__reduce__() == other.__reduce__()
 
     def __hash__(self) -> int:
-        return hash((self.atoms, self.ambient))
+        return hash(self.__reduce__())
 
     def __repr__(self) -> str:
-        return f"SheafExpr(atoms={self.atoms!r}, ambient={self.ambient!r})"
+        fields = f"lines={self.lines!r}, spinors={self.spinors!r}, ambient={self.ambient!r}"
+        return f"SheafExpr({fields})"
 
     def __reduce__(self) -> tuple:
-        return (SheafExpr, (self.atoms, self.ambient))
+        return (SheafExpr, (self.lines, self.spinors, self.ambient))
 
     @property
     def is_zero(self) -> bool:
-        return not self.atoms
+        return not (self.lines or self.spinors)
 
     @property
     def rank(self) -> int:
-        return sum(atom.rank * mult for atom, mult in self.atoms)
+        spinors = sum(mult for _, mult in self.spinors)
+        return sum(mult for _, mult in self.lines) + hilbert.SPINOR_RANK * spinors
 
     @property
     def c1(self) -> int:
-        return sum(atom.c1 * mult for atom, mult in self.atoms)
+        # c1(O(a)) = a; c1(E0(a)) = 2a + c1(E0) in hyperplane-class units.
+        rank, c1 = hilbert.SPINOR_RANK, hilbert.SPINOR_C1
+        lines = sum(twist * mult for twist, mult in self.lines)
+        return lines + sum((rank * twist + c1) * mult for twist, mult in self.spinors)
 
-    def _replace_atoms(self, atoms: tuple) -> "SheafExpr":
-        # constructor bypass for transforms that keep the tuple canonical
+    def _replace_atoms(self, lines: Twists, spinors: Twists) -> "SheafExpr":
+        # constructor bypass for transforms that keep both fields canonical
         clone = object.__new__(SheafExpr)
-        object.__setattr__(clone, "atoms", atoms)
+        object.__setattr__(clone, "lines", lines)
+        object.__setattr__(clone, "spinors", spinors)
         object.__setattr__(clone, "ambient", self.ambient)
         return clone
 
     def twist(self, t: int) -> "SheafExpr":
-        # a uniform shift preserves kinds, distinctness, and sort order
+        # a uniform shift preserves distinctness and the descending order
         if t == 0:
             return self
         return self._replace_atoms(
-            tuple((atom.shifted(t), mult) for atom, mult in self.atoms)
+            tuple((twist + t, mult) for twist, mult in self.lines),
+            tuple((twist + t, mult) for twist, mult in self.spinors),
         )
 
     def dual(self) -> "SheafExpr":
-        # dualizing negates twists within each kind, so reversing each
-        # kind block restores the descending-twist canonical order
-        lines = []
-        spinors = []
-        for atom, mult in self.atoms:
-            block = spinors if atom.kind is AtomKind.SPINOR else lines
-            block.append((atom.dualized(), mult))
-        lines.reverse()
-        spinors.reverse()
-        return self._replace_atoms(tuple(lines + spinors))
+        # O(a)^v = O(-a) and E0(a)^v = E0(3-a), from E0^v = E0(3); both
+        # negate the twist, so reading each field backwards keeps it descending
+        shift = hilbert.SPINOR_DUAL_SHIFT
+        return self._replace_atoms(
+            tuple((-twist, mult) for twist, mult in reversed(self.lines)),
+            tuple((shift - twist, mult) for twist, mult in reversed(self.spinors)),
+        )
 
     def h0(self, n: int) -> int:
-        # AtomKind.LINE is 0, so a falsy kind is a line bundle; both counts
-        # are looked up on each call, through their module or ambient
-        spinor_h0 = hilbert.h0_spinor
+        # both counts are looked up on each call, through their ambient or module
         line_h0 = self.ambient.h0
+        spinor_h0 = hilbert.h0_spinor
         total = 0
-        for (kind, twist), mult in self.atoms:
-            total += (spinor_h0(twist + n) if kind else line_h0(twist + n)) * mult
+        for twist, mult in self.lines:
+            total += line_h0(twist + n) * mult
+        for twist, mult in self.spinors:
+            total += spinor_h0(twist + n) * mult
         return total
 
     def __add__(self, other: "SheafExpr") -> "SheafExpr":
@@ -179,65 +140,43 @@ class SheafExpr:
             return other
         if self.ambient != other.ambient:
             raise ValueError("cannot add expressions over different ambients")
-        return SheafExpr(self.atoms + other.atoms, self.ambient)
+        return SheafExpr(self.lines + other.lines, self.spinors + other.spinors, self.ambient)
 
     def without(self, other: "SheafExpr") -> "SheafExpr":
         """Multiset difference; fails if ``other`` is not contained in self."""
         if not other.is_zero and self.ambient != other.ambient:
             raise ValueError("cannot subtract expressions over different ambients")
-        counts = {atom: mult for atom, mult in self.atoms}
-        for atom, mult in other.atoms:
-            have = counts.get(atom, 0)
-            if have < mult:
-                raise ValueError(
-                    f"expression lacks {mult} copies of {atom.render()}"
-                )
-            counts[atom] = have - mult
-        return SheafExpr(tuple(counts.items()), self.ambient)
+        fields = []
+        for name, have, take in ("O", self.lines, other.lines), ("E0", self.spinors, other.spinors):
+            counts = dict(have)
+            for twist, mult in take:
+                left = counts.get(twist, 0)
+                if left < mult:
+                    raise ValueError(f"expression lacks {mult} copies of {name}({twist})")
+                counts[twist] = left - mult
+            fields.append(counts.items())  # the constructor drops the zeros
+        return SheafExpr(*fields, self.ambient)
 
     def render(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for atom, mult in self.atoms:
-            text = atom.render()
-            parts.append(f"{mult}*{text}" if mult >= 2 else text)
-        return " + ".join(parts)
+        parts = [
+            f"{mult}*{name}({twist})" if mult >= 2 else f"{name}({twist})"
+            for name, pairs in (("O", self.lines), ("E0", self.spinors))
+            for twist, mult in pairs
+        ]
+        return " + ".join(parts) or "0"
 
-    def __str__(self) -> str:
-        return self.render()
+    __str__ = render
 
 
 def line_bundle(twist: int, multiplicity: int = 1, ambient: Ambient = QUADRIC3) -> SheafExpr:
     """multiplicity copies of O(twist)."""
-    return SheafExpr(((TwistAtom(AtomKind.LINE, twist), multiplicity),), ambient)
+    return SheafExpr(((twist, multiplicity),), (), ambient)
 
 
 def spinor(twist: int, multiplicity: int = 1) -> SheafExpr:
     """multiplicity copies of E0(twist); quadric threefold only."""
-    return SheafExpr(((TwistAtom(AtomKind.SPINOR, twist), multiplicity),), QUADRIC3)
+    return SheafExpr((), ((twist, multiplicity),), QUADRIC3)
 
 
 def zero_sheaf(ambient: Ambient = QUADRIC3) -> SheafExpr:
-    return SheafExpr((), ambient)
-
-
-def sum_builder(twists: range) -> Callable[[tuple, tuple], SheafExpr]:
-    """A builder of quadric sums that share one atom per kind and twist.
-
-    ``build(lines, spinors)`` is the sum of O(b) for b in ``lines`` and
-    E0(a) for a in ``spinors``.  Both tuples must be non-increasing and
-    drawn from ``twists``: runs of equal twists then become multiplicities
-    in canonical order, so the sum skips the constructor's canonicalization.
-    """
-    template = zero_sheaf()
-    line_atoms = {t: TwistAtom(AtomKind.LINE, t) for t in twists}
-    spinor_atoms = {t: TwistAtom(AtomKind.SPINOR, t) for t in twists}
-
-    def build(lines: tuple, spinors: tuple) -> SheafExpr:
-        return template._replace_atoms(
-            tuple((line_atoms[t], len(list(run))) for t, run in groupby(lines))
-            + tuple((spinor_atoms[t], len(list(run))) for t, run in groupby(spinors))
-        )
-
-    return build
+    return SheafExpr((), (), ambient)

@@ -9,12 +9,10 @@ import random
 from itertools import combinations_with_replacement
 
 from quadliaison import (
-    AtomKind,
     CILinkage,
     CurveClass,
     InfeasibleError,
     SheafExpr,
-    TwistAtom,
     P3,
     P4,
     QUADRIC3,
@@ -176,14 +174,13 @@ def test_criterion_7_mapping_cone_and_discrepancy(monkeypatch):
 
 def test_criterion_8_property_suites():
     rng = random.Random(407)
-    kinds = (AtomKind.LINE, AtomKind.SPINOR)
     exprs = []
     for _ in range(10000):
-        atoms = tuple(
-            (TwistAtom(rng.choice(kinds), rng.randint(-8, 8)), rng.randint(1, 3))
-            for _ in range(rng.randint(1, 4))
-        )
-        exprs.append(SheafExpr(atoms))
+        lines, spinors = [], []
+        for _ in range(rng.randint(1, 4)):
+            pair = (rng.randint(-8, 8), rng.randint(1, 3))
+            (spinors if rng.random() < 0.5 else lines).append(pair)
+        exprs.append(SheafExpr(tuple(lines), tuple(spinors)))
 
     for expr in exprs:
         assert expr.dual().dual() == expr

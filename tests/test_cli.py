@@ -5,6 +5,7 @@ golden files under tests/golden/ pin the exact bytes each command prints.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -22,6 +23,7 @@ from quadliaison.cli import (
     main,
 )
 from quadliaison.curves import MAX_WINDOW_TWISTS
+from quadliaison.hilbert import h0_proj
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -307,6 +309,70 @@ def test_value_too_long_to_print_is_a_readable_usage_error(fmt, capsys):
         f"error: a value to print has more than {sys.get_int_max_str_digits()} digits; "
         "narrow the window or the twists\n"
     )
+
+
+HUGE_AMBIENT = ["--ambient", "p99999999", "-d", "1", "-g", "0"]
+
+
+def first_unprintable_twist(dim: int) -> int:
+    """The first n >= 0 at which C(dim + n, dim) has more digits than Python prints."""
+    n, limit = 0, 10 ** sys.get_int_max_str_digits()
+    while h0_proj(dim, n) < limit:
+        n += 1
+    return n
+
+
+@pytest.mark.parametrize("rows, fmt", [("ambient", "text"), ("ideal", "csv"), ("full", "json")])
+def test_tables_stop_at_the_first_value_too_long_to_print(rows, fmt, capsys, monkeypatch):
+    """Each count of the window used to be built before printing failed, so
+    the time grew with the ambient dimension; now the counts stop at the
+    first one too long to print, whatever the window's top twist."""
+    first = first_unprintable_twist(99999999)
+    assert first == 776
+    comb = math.comb
+    calls = []
+
+    def counted(n, k):
+        calls.append(n)
+        return comb(n, k)
+
+    monkeypatch.setattr(math, "comb", counted)
+    for top in (999, 3999):
+        calls.clear()
+        code, out, err = run(capsys, "table", *HUGE_AMBIENT, "--rows", rows,
+                             f"--window=0:{top}", "--format", fmt)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == (
+            f"error: a value to print has more than {sys.get_int_max_str_digits()} digits; "
+            "narrow the window or the twists\n"
+        )
+        assert len(calls) == first + 1
+        assert max(calls) == 99999999 + first
+
+
+def test_stopping_early_keeps_what_the_full_table_reports(tmp_path, capsys, monkeypatch):
+    # a bad format named by a scenario still wins over a value too long to print
+    path = tmp_path / "fmt.ql"
+    path.write_text("format = xml\n")
+    code, out, err = run(capsys, "table", *HUGE_AMBIENT, "--rows", "ideal",
+                         "--window=0:3999", "--scenario", str(path))
+    assert (code, out, err) == (EXIT_USAGE, "", "error: unknown format 'xml'\n")
+    # a negative ideal count below the first long value still exits 2
+    for rows in ("ideal", "full"):
+        code, out, err = run(capsys, "table", "--ambient", "p99999999", "-d", "1000000000",
+                             "-g", "0", "--rows", rows, "--window=0:3999")
+        assert (code, out) == (EXIT_INFEASIBLE, "")
+        assert err == "infeasible: section count -900000001 < 0 at twist 1: no such curve\n"
+    # full tables still refuse P2 before counting, even where its ideal is negative
+    code, out, err = run(capsys, "table", "--ambient", "p2", "-d", "8", "-g", "4", "--rows", "full")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: full tables need an ambient of dimension >= 3\n"
+    # a walked window with no long value prints what an unlimited run prints
+    argv = ["table", *HUGE_AMBIENT, "--rows", "full", "--window=0:500"]
+    limited = run(capsys, *argv)
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+    assert run(capsys, *argv) == limited
+    assert limited[0] == EXIT_OK
 
 
 def test_scenario_file_supplies_defaults(tmp_path, capsys):

@@ -21,10 +21,9 @@ from quadliaison.liaison import (
     ResolutionFlavor,
     ResolutionTriple,
 )
-from quadliaison.sheaves import AtomKind, SheafExpr, TwistAtom, line_bundle, spinor
+from quadliaison.sheaves import SheafExpr, line_bundle, spinor
 from quadliaison.verify import CheckResult
 
-LINE_1 = TwistAtom(AtomKind.LINE, 1)
 CURVE = CurveClass(QUADRIC3, 4, 0)
 TRIPLE = ResolutionTriple(spinor(-1, 2), line_bundle(-2, 5), CURVE, ResolutionFlavor.E_TYPE)
 CELL = CellCheck(2, 5, 5)
@@ -33,8 +32,10 @@ CELL = CellCheck(2, 5, 5)
 # trailing fields that have one)
 RECORDS = [
     (Ambient, {"kind": "proj", "dim": 4}, {}),
-    (TwistAtom, {"kind": AtomKind.SPINOR, "twist": -2}, {}),
-    (SheafExpr, {"atoms": ((LINE_1, 2),), "ambient": P4}, {"atoms": (), "ambient": QUADRIC3}),
+    (SheafExpr, {"lines": ((1, 2),), "spinors": (), "ambient": P4},
+     {"lines": (), "spinors": (), "ambient": QUADRIC3}),
+    (SheafExpr, {"lines": ((1, 1),), "spinors": ((-2, 1),), "ambient": QUADRIC3},
+     {"spinors": (), "ambient": QUADRIC3}),
     (CurveClass, {"ambient": P4, "degree": 8, "genus": 4}, {}),
     (CILinkage, {"ambient_dim": 4, "degrees": (2, 2, 3)}, {}),
     (ResolutionTriple, {"kernel": spinor(-1, 2), "middle": line_bundle(-2, 5),
@@ -51,13 +52,15 @@ RECORDS = [
      {"assumes_injective_multiplication": True}),
     (CheckResult, {"name": "kernel-rank-4", "status": "PASS", "detail": "4 (expected 4)"}, {}),
 ]
+# the second SheafExpr row fills the spinor field and leaves lines required
 IDS = [cls.__name__ for cls, _, _ in RECORDS]
+IDS[IDS.index("SheafExpr") + 1] += "-spinors"
 
 # builders of records whose fields are all hashable, each with a different value
 HASHABLE = [
     (lambda: Ambient("proj", 4), Ambient("proj", 3)),
-    (lambda: TwistAtom(AtomKind.LINE, 1), TwistAtom(AtomKind.SPINOR, 1)),
     (lambda: line_bundle(1, 2) + spinor(0), line_bundle(1, 3) + spinor(0)),
+    (lambda: spinor(1), line_bundle(1)),
     (lambda: CurveClass(P4, 8, 4), CurveClass(QUADRIC3, 8, 4)),
     (lambda: CILinkage(4, (3, 2, 2)), CILinkage(4, (2, 3, 3))),
     (lambda: CellCheck(2, 5, 5), CellCheck(2, 5, 4)),
@@ -96,7 +99,12 @@ def test_copy_and_pickle_keep_the_value(cls, values, defaults):
     assert pickle.loads(pickle.dumps(record)) == record
 
 
-@pytest.mark.parametrize("build, other", HASHABLE, ids=[type(o).__name__ for _, o in HASHABLE])
+# the second SheafExpr row holds one twist as a spinor against it as a line
+HASHABLE_IDS = [type(o).__name__ for _, o in HASHABLE]
+HASHABLE_IDS[HASHABLE_IDS.index("SheafExpr") + 1] += "-spinors"
+
+
+@pytest.mark.parametrize("build, other", HASHABLE, ids=HASHABLE_IDS)
 def test_equality_and_hash_by_value(build, other):
     record, twin = build(), build()
     assert twin is not record
@@ -119,8 +127,8 @@ VALIDATION = [
      "kernel and middle live over different ambients"),
     (lambda: ResolutionTriple(SheafExpr(), line_bundle(-2), CurveClass(P4, 4, 0), E_TYPE),
      "resolution and curve live over different ambients"),
-    (lambda: SheafExpr(((LINE_1, -1),)), "negative multiplicity -1 for O(1)"),
-    (lambda: SheafExpr(((TwistAtom(AtomKind.SPINOR, 0), 1),), P4),
+    (lambda: SheafExpr(((1, -1),)), "negative multiplicity -1 for O(1)"),
+    (lambda: SheafExpr((), ((0, 1),), P4),
      "spinor summands only exist on the quadric threefold"),
 ]
 
@@ -139,9 +147,8 @@ def test_linkage_degrees_are_sorted_into_a_tuple():
 
 
 def test_sheaf_expressions_are_canonical_on_construction():
-    spin = TwistAtom(AtomKind.SPINOR, 0)
-    expr = SheafExpr(((spin, 1), (LINE_1, 0), (TwistAtom(AtomKind.LINE, 2), 1), (spin, 2)))
-    assert expr.atoms == ((TwistAtom(AtomKind.LINE, 2), 1), (spin, 3))
+    expr = SheafExpr(((1, 0), (-1, 1), (2, 1)), ((0, 1), (3, 0), (0, 2)))
+    assert (expr.lines, expr.spinors) == (((2, 1), (-1, 1)), ((0, 3),))
 
 
 def test_repr_names_every_field():
@@ -149,9 +156,8 @@ def test_repr_names_every_field():
     quadric = "Ambient(kind='quadric3', dim=3)"
     assert repr(triple) == (
         "ResolutionTriple("
-        f"kernel=SheafExpr(atoms=((TwistAtom(kind=<AtomKind.SPINOR: 1>, twist=-1), 1),), "
-        f"ambient={quadric}), "
-        f"middle=SheafExpr(atoms=((TwistAtom(kind=<AtomKind.LINE: 0>, twist=-2), 3),), "
+        f"kernel=SheafExpr(lines=(), spinors=((-1, 1),), ambient={quadric}), "
+        f"middle=SheafExpr(lines=((-2, 3),), spinors=(), "
         f"ambient={quadric}), "
         f"curve=CurveClass(ambient={quadric}, degree=1, genus=0), "
         "flavor=<ResolutionFlavor.E_TYPE: 'E-type'>)"

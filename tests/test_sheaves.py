@@ -13,9 +13,7 @@ from quadliaison import (
     P4,
     QUADRIC3,
     Ambient,
-    AtomKind,
     SheafExpr,
-    TwistAtom,
     h0_quadric3,
     hilbert,
     line_bundle,
@@ -87,7 +85,7 @@ def test_projective_expressions():
     assert quartic.h0(6) == 15
     assert quartic.dual() == line_bundle(4, ambient=P4)
     with pytest.raises(ValueError):
-        SheafExpr(((TwistAtom(AtomKind.SPINOR, -1), 1),), P4)
+        SheafExpr((), ((-1, 1),), P4)
     with pytest.raises(ValueError):
         line_bundle(-1, ambient=P4) + line_bundle(-1)
 
@@ -96,15 +94,18 @@ def test_multiset_subtraction():
     b = line_bundle(-2) + line_bundle(-3, 4)
     assert b.without(line_bundle(-3)) == line_bundle(-2) + line_bundle(-3, 3)
     assert b.without(b) == zero_sheaf()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^expression lacks 1 copies of O\(-5\)$"):
         b.without(line_bundle(-5))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^expression lacks 5 copies of O\(-3\)$"):
         b.without(line_bundle(-3, 5))
+    with pytest.raises(ValueError, match=r"^expression lacks 1 copies of E0\(-3\)$"):
+        (b + spinor(-2)).without(spinor(-3))
+    assert (b + spinor(-2, 2)).without(spinor(-2)) == b + spinor(-2)
 
 
 def test_bad_multiplicity_rejected():
     with pytest.raises(ValueError):
-        SheafExpr(((TwistAtom(AtomKind.LINE, 0), -1),))
+        SheafExpr(((0, -1),))
     assert line_bundle(3, 0) == zero_sheaf()
 
 
@@ -128,6 +129,36 @@ def test_involutions_and_commutation():
         assert expr.twist(t).dual() == expr.dual().twist(-t)
 
 
+def is_canonical(pairs: tuple) -> bool:
+    """Strictly descending twists and no zero multiplicity."""
+    twists = [twist for twist, _ in pairs]
+    return all(mult > 0 for _, mult in pairs) and all(a > b for a, b in zip(twists, twists[1:]))
+
+
+def test_every_transform_keeps_both_fields_canonical():
+    """_replace_atoms trusts its caller's pairs, so each transform must hand
+    it canonical ones: a chain of sums, twists, duals and differences keeps
+    both fields strictly descending with no zero multiplicity."""
+    rng = random.Random(14)
+    for _ in range(300):
+        expr = random_expr(rng)
+        for _ in range(6):
+            step = rng.randrange(4)
+            if step == 0:
+                expr = expr + random_expr(rng)
+            elif step == 1:
+                expr = expr.twist(rng.randint(-6, 6))
+            elif step == 2:
+                expr = expr.dual()
+            else:
+                part = SheafExpr(
+                    tuple((twist, rng.randint(0, mult)) for twist, mult in expr.lines),
+                    tuple((twist, rng.randint(0, mult)) for twist, mult in expr.spinors),
+                )
+                expr = expr.without(part)
+            assert is_canonical(expr.lines) and is_canonical(expr.spinors), (step, expr)
+
+
 def test_additivity():
     rng = random.Random(12)
     for _ in range(300):
@@ -140,45 +171,34 @@ def test_additivity():
 
 
 def atomwise_h0(expr: SheafExpr, n: int) -> int:
-    """The section count before the one-loop kernel, kept as its oracle:
-    atom by atom, a TwistAtom's kind choosing hilbert.h0_spinor or Ambient.h0."""
-    def atom_h0(atom: TwistAtom) -> int:
-        k = atom.twist + n
-        if atom.kind is AtomKind.SPINOR:
-            return hilbert.h0_spinor(k)
-        return expr.ambient.h0(k)
-
-    return sum(atom_h0(atom) * mult for atom, mult in expr.atoms)
+    """The section count summand by summand, kept as the oracle of
+    SheafExpr.h0: one Ambient.h0 call per line twist and one
+    hilbert.h0_spinor call per spinor twist."""
+    lines = sum(expr.ambient.h0(twist + n) * mult for twist, mult in expr.lines)
+    return lines + sum(hilbert.h0_spinor(twist + n) * mult for twist, mult in expr.spinors)
 
 
-def test_atom_kinds_are_pinned():
-    # SheafExpr.h0 takes a falsy kind for a line bundle
-    assert AtomKind.LINE == 0 and not AtomKind.LINE
-    assert AtomKind.SPINOR == 1 and AtomKind.SPINOR
-    assert list(AtomKind) == [AtomKind.LINE, AtomKind.SPINOR]
-
-
-def random_atoms(rng, kinds) -> tuple:
-    return tuple(
-        (TwistAtom(rng.choice(kinds), rng.randint(-12, 12)), rng.randint(1, 4))
-        for _ in range(rng.randint(1, 6))
-    )
+def random_pairs(rng) -> tuple:
+    """Unsorted (twist, multiplicity) pairs, repeats allowed."""
+    return tuple((rng.randint(-12, 12), rng.randint(1, 4)) for _ in range(rng.randint(0, 6)))
 
 
 @pytest.mark.parametrize("ambient", [proj_space(2), proj_space(3), P4, proj_space(5), QUADRIC3])
 def test_h0_agrees_with_atomwise_oracle(ambient):
     rng = random.Random(f"h0-{ambient.label()}")
-    kinds = list(AtomKind) if ambient.is_quadric else [AtomKind.LINE]
     exprs = [zero_sheaf(ambient)]
-    exprs += [SheafExpr(random_atoms(rng, kinds), ambient) for _ in range(150)]
-    spinors = 0
+    for _ in range(150):
+        lines = random_pairs(rng)
+        spinors = random_pairs(rng) if ambient.is_quadric else ()
+        exprs.append(SheafExpr(lines, spinors, ambient))
+    spinor_sums = 0
     for expr in exprs:
-        spinors += any(atom.kind is AtomKind.SPINOR for atom, _ in expr.atoms)
+        spinor_sums += bool(expr.spinors)
         for n in range(-20, 41):
             assert expr.h0(n) == atomwise_h0(expr, n), (expr, n)
     assert exprs[0].h0(40) == 0
     # the quadric draws mix lines and spinors; projective ones cannot
-    assert (spinors > 100) == ambient.is_quadric
+    assert (spinor_sums > 100) == ambient.is_quadric
 
 
 def test_h0_reads_the_counts_at_call_time(monkeypatch):

@@ -19,7 +19,8 @@ import quadliaison
 
 SRC = str(Path(__file__).parent.parent / "src")
 
-# What the package root re-exported when it imported every submodule eagerly.
+# What the package root re-exported when it imported every submodule eagerly,
+# less the two atom classes that sheaves no longer has.
 REEXPORTS = {
     "ambient": "P2 P3 P4 QUADRIC3 Ambient parse_ambient proj_space",
     "classify": "CANDIDATE_CAP DEFAULT_TWIST_BOUNDS MATCH_WINDOW GeneratorEstimate "
@@ -36,7 +37,7 @@ REEXPORTS = {
     "liaison": "CellCheck CILinkage ConsistencyReport ResolutionFlavor ResolutionTriple "
     "ci_residual mapping_cone_e_from_n mapping_cone_n_from_e quadric_linkage "
     "resolution_consistency_check",
-    "sheaves": "AtomKind SheafExpr TwistAtom line_bundle spinor zero_sheaf",
+    "sheaves": "SheafExpr line_bundle spinor zero_sheaf",
     "verify": "CheckResult all_ok run_reference_checks",
 }
 REEXPORTED = [(module, name) for module, names in REEXPORTS.items() for name in names.split()]
