@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 from .hilbert import h0_proj, h0_proj_row, h0_quadric3, h0_quadric3_row
@@ -37,6 +38,16 @@ class Ambient(NamedTuple("Ambient", [("kind", str), ("dim", int)])):
             return h0_quadric3(k)
         return h0_proj(self.dim, k)
 
+    def h0_at_least(self, k: int, bound: int) -> bool:
+        """``self.h0(k) >= bound >= 1``.  On P^m, C(N, j) with N = m + k, j = min(m, k) > 0
+        is built only if its bracket (N/j)^j >= 2^j to (e*N/j)^j leaves it in doubt."""
+        j = min(self.dim, k, bound.bit_length() + 1)  # C(N, j) rises with j up to N/2
+        if not self.is_quadric and j > 0:
+            low = j * (math.log2(self.dim + k) - math.log2(j)) - math.log2(bound)
+            if low > 1 or low + j * math.log2(math.e) < -1:
+                return low > 0
+        return self.h0(k) >= bound
+
     def h0_row(self, lo: int, hi: int) -> list[int]:
         """``[self.h0(k) for k in range(lo, hi + 1)]``, computed row-wise."""
         if self.is_quadric:
@@ -46,8 +57,7 @@ class Ambient(NamedTuple("Ambient", [("kind", str), ("dim", int)])):
     def label(self) -> str:
         return "quadric3" if self.is_quadric else f"p{self.dim}"
 
-    def __str__(self) -> str:
-        return self.label()
+    __str__ = label
 
 
 def proj_space(n: int) -> Ambient:

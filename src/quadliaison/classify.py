@@ -4,10 +4,10 @@ generator-count heuristics for ideal sheaves.
 Every indecomposable ACM bundle on the quadric threefold is a twisted
 line bundle or a twist of the rank-2 spinor-type bundle, so a rank-4
 ACM kernel is one of three shapes: E0(a)+O(b)+O(c), E0(a)+E0(b), or a
-sum of four line bundles.  Matching filters these candidates by their
-section counts over a finite window; it does not pin the kernel down.
-It tries rank 4 whatever the rank of the middle term, its answer can
-change with the window, and it may return no candidate or several.
+sum of four line bundles.  Matching filters them by section counts over
+a finite window, read off rows of atom counts; it does not pin the kernel
+down.  It tries rank 4 whatever the rank of the middle term, its answer
+can change with the window, and it may return no candidate or several.
 """
 
 from __future__ import annotations
@@ -16,10 +16,10 @@ from functools import lru_cache
 from itertools import combinations_with_replacement, groupby
 from typing import Mapping, NamedTuple
 
+from . import hilbert
 from .curves import DEFAULT_WINDOW, CurveClass, Window, full_ideal_table, ideal_h0, regularity
 from .errors import NegativeDimension, RangeTooLarge
-from .hilbert import binom
-from .sheaves import SheafExpr, line_bundle, zero_sheaf
+from .sheaves import SheafExpr, zero_sheaf
 
 CANDIDATE_CAP = 10_000
 DEFAULT_TWIST_BOUNDS: tuple[int, int] = (-6, 3)
@@ -30,7 +30,7 @@ def rank4_candidate_count(twist_lo: int, twist_hi: int) -> int:
     """Candidates over a twist range of width w: w*C(w+1,2) of shape
     E0+O+O, C(w+1,2) of shape E0+E0, and C(w+3,4) sums of four lines."""
     w = twist_hi - twist_lo + 1
-    return w * binom(w + 1, 2) + binom(w + 1, 2) + binom(w + 3, 4)
+    return w * hilbert.binom(w + 1, 2) + hilbert.binom(w + 1, 2) + hilbert.binom(w + 3, 4)
 
 
 def _runs(combo: tuple) -> tuple:
@@ -65,6 +65,14 @@ def enumerate_rank4_candidates(
     return list(_enumerate_cached(twist_lo, twist_hi))
 
 
+def _pair_counts(twist_lo: int, twist_hi: int, n: int) -> list:
+    """mult * h0(O(t + n)) and mult * h0(E0(t + n)) by (t, mult), t in the bounds, mult <= 4."""
+    shifted = range(twist_lo + n, twist_hi + n + 1)
+    rows = hilbert.h0_quadric3_row(twist_lo + n, twist_hi + n), map(hilbert.h0_spinor, shifted)
+    return [{(t - n, m): c * m for t, c in zip(shifted, row) for m in range(1, 5)}.__getitem__
+            for row in rows]
+
+
 def match_acm_kernel(
     target: Mapping[int, int],
     window: Window = MATCH_WINDOW,
@@ -79,9 +87,9 @@ def match_acm_kernel(
     Below twist -twist_hi no candidate has sections, since O(t) needs
     t + n >= 0, E0(t) needs t + n >= 2 and every t is at most twist_hi.
     So a target that is nonzero there matches nothing, and otherwise only
-    the twists from max(lo, -twist_hi) up are compared.  They are compared
-    from the top twist down: counts grow with the twist, so the first
-    comparison already rejects nearly every candidate.
+    the twists from max(lo, -twist_hi) up are compared, from the top twist
+    down, where counts separate candidates best.  Each twist n counts
+    h0(O(t + n)) and h0(E0(t + n)) once per bounds twist t (``_pair_counts``).
     """
     lo, hi = window
     if hi - lo + 1 < 5:
@@ -92,8 +100,11 @@ def match_acm_kernel(
     candidates = enumerate_rank4_candidates(twist_lo, twist_hi)
     if any(target[n] for n in range(lo, min(hi + 1, -twist_hi))):
         return []
-    twists = range(hi, max(lo, -twist_hi) - 1, -1)
-    return [cand for cand in candidates if all(cand.h0(n) == target[n] for n in twists)]
+    for n in range(hi, max(lo, -twist_hi) - 1, -1):
+        line_of, spinor_of = _pair_counts(twist_lo, twist_hi, n)
+        candidates = [cand for cand in candidates if target[n] == sum(map(line_of, cand.lines))
+                      + sum(map(spinor_of, cand.spinors))]
+    return candidates
 
 
 def kernel_table_from_resolution(
@@ -150,11 +161,8 @@ def generator_estimate(
 
 def etype_middle(curve: CurveClass, window: Window = DEFAULT_WINDOW) -> SheafExpr:
     """Middle term O(-k) per estimated generator of degree k."""
-    estimate = generator_estimate(curve, window)
-    expr = zero_sheaf(curve.ambient)
-    for k in sorted(estimate.counts):
-        expr = expr + line_bundle(-k, estimate.counts[k], curve.ambient)
-    return expr
+    counts = generator_estimate(curve, window).counts
+    return SheafExpr([(-k, count) for k, count in counts.items()], (), curve.ambient)
 
 
 def etype_candidates(

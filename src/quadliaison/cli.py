@@ -27,6 +27,7 @@ from .curves import (
     CurveClass,
     Window,
     ambient_table,
+    curve_sections,
     full_ideal_table,
     ideal_h0,
     ideal_h0_table,
@@ -138,19 +139,19 @@ class _Run:
 
 
 def _stop_at_unprintable(run: _Run, ambient: Ambient, curve, window: Window) -> None:
-    """Walk the window's ambient counts (no curve) or ideal counts in twist
-    order and stop at the first with more digits than Python prints,
-    emitting it alone, which fails as the whole table would.  A negative
-    ideal count before it raises first, and none can come after it: an
-    ideal count that long exceeds the genus, so the counts are rising.
-    When no count is that long, the table computes them all again."""
+    """Fail as the whole table would when the window holds an ambient count
+    (no curve) or ideal count h0 - sections with more digits than Python
+    prints, without building it.  Counts only rise past one that long (an
+    ideal count that long exceeds the genus), so the top twist decides, and
+    a negative ideal count, which can only come before it, raises first."""
     digits = sys.get_int_max_str_digits()
-    limit = 10 ** digits if digits else float("inf")  # a cap of 0 means none
-    value = ambient.h0 if curve is None else lambda n: ideal_h0(curve, n)
-    for n in range(window[0], window[1] + 1):
-        count = value(n)
-        if count >= limit:
-            run.emit(*[lambda: str(count)] * 3)
+    limit = 10 ** digits  # above every genus, which argv parsing caps alike
+    sections = (lambda n: 0) if curve is None else (lambda n: curve_sections(curve, n))
+    if digits and ambient.h0_at_least(window[1], limit + sections(window[1])):  # 0: no cap
+        for n in range(max(window[0], 1), window[1] + 1):  # no count below 1 exceeds 1
+            if sections(n) > 0 and not ambient.h0_at_least(n, sections(n)):
+                ideal_h0(curve, n)  # raises NegativeDimension
+        run.emit(*[lambda: str(limit)] * 3)
 
 
 def _json_text(value) -> str:

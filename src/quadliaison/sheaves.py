@@ -7,10 +7,6 @@ canonical tuple of (twist, multiplicity) pairs, twists strictly descending
 and no multiplicity zero, so equality is syntactic; lines render before
 spinors.  All arithmetic (rank, first Chern number, section counts) is
 per summand and exact.
-
-``SheafExpr.h0`` is the hot kernel of kernel classification.  It is one
-loop over each field that calls the ambient's ``h0`` or ``hilbert.h0_spinor``
-directly, with no method call per summand.
 """
 
 from __future__ import annotations

@@ -30,7 +30,9 @@ from quadliaison import (
     spinor,
     zero_sheaf,
 )
-from quadliaison.classify import _enumerate_cached
+from quadliaison import hilbert
+from quadliaison.ambient import Ambient
+from quadliaison.classify import _enumerate_cached, _pair_counts
 
 C84 = CurveClass(QUADRIC3, 8, 4)
 C40 = CurveClass(QUADRIC3, 4, 0)
@@ -204,46 +206,105 @@ def test_match_agrees_with_unpruned_filter_on_seeded_targets():
     assert outcomes == {0, 1, 2}
 
 
-def test_match_work_does_not_grow_below_the_twist_bounds(monkeypatch):
+def test_pair_counts_agree_with_the_section_count_oracle():
+    """A candidate's count read off the two atom rows at twist n, as matching
+    reads it, equals SheafExpr.h0, which stays the oracle."""
+    pool = enumerate_rank4_candidates(*DEFAULT_TWIST_BOUNDS)
+    for n in range(-20, 41):
+        line_of, spinor_of = _pair_counts(*DEFAULT_TWIST_BOUNDS, n)
+        for cand in pool:
+            count = sum(map(line_of, cand.lines)) + sum(map(spinor_of, cand.spinors))
+            assert count == cand.h0(n), (cand, n)
+
+
+def test_match_agrees_with_unpruned_filter_on_edge_draws():
+    """Seeded draws of three kinds: one-twist bounds (twist_lo == twist_hi),
+    windows wholly below -twist_hi, and free ones.  Targets come from a
+    candidate of the drawn bounds or of the default bounds, and half of
+    them are moved by +-1 at one twist."""
+    rng = random.Random(11)
+    pool = enumerate_rank4_candidates(*DEFAULT_TWIST_BOUNDS)
+    outcomes = {"single": set(), "below": set(), "free": set()}
+    for i in range(300):
+        kind = list(outcomes)[i % 3]
+        twist_lo = rng.randint(-6, 3)
+        twist_hi = twist_lo if kind == "single" else rng.randint(twist_lo, min(twist_lo + 4, 3))
+        hi = rng.randint(-twist_hi - 9, -twist_hi - 1) if kind == "below" else rng.randint(-2, 9)
+        window = (hi - rng.randint(4, 9), hi)
+        own = enumerate_rank4_candidates(twist_lo, twist_hi)
+        expr = rng.choice(own if rng.random() < 0.7 else pool)
+        target = {n: expr.h0(n) for n in range(window[0], window[1] + 1)}
+        if rng.random() < 0.5:
+            target[rng.randint(*window)] += rng.choice((-1, 1))
+        want = filter_match(target, window, twist_lo, twist_hi)
+        assert match_acm_kernel(target, window, twist_lo, twist_hi) == want
+        outcomes[kind].add(min(len(want), 2))
+    # the draws reach no match, a unique match and several matches
+    assert set().union(*outcomes.values()) == {0, 1, 2}
+    assert {0, 1} <= outcomes["single"] and outcomes["below"] == {0, 2}
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    """Wraps the atom counts and SheafExpr.h0.  counts["atoms"] gets the twist
+    k of every h0(O(k)) or h0(E0(k)) on Q made through Ambient.h0,
+    hilbert.h0_quadric3_row or hilbert.h0_spinor, and counts["sums"] every
+    SheafExpr.h0 twist."""
+    found = {"atoms": [], "sums": []}
+    atoms = found["atoms"]
+    h0, h0_row, h0_spinor, sum_h0 = (
+        Ambient.h0, hilbert.h0_quadric3_row, hilbert.h0_spinor, SheafExpr.h0
+    )
+
+    def counted_row(lo, hi):
+        atoms.extend(range(lo, hi + 1))
+        return h0_row(lo, hi)
+
+    def counted_sum(self, n):
+        found["sums"].append(n)
+        return sum_h0(self, n)
+
+    monkeypatch.setattr(Ambient, "h0", lambda self, k: atoms.append(k) or h0(self, k))
+    monkeypatch.setattr(hilbert, "h0_quadric3_row", counted_row)
+    monkeypatch.setattr(hilbert, "h0_spinor", lambda k: atoms.append(k) or h0_spinor(k))
+    monkeypatch.setattr(SheafExpr, "h0", counted_sum)
+    return found
+
+
+def test_match_work_does_not_grow_below_the_twist_bounds(counts):
     """Twists below -twist_hi cost no section counts, so a window reaching
-    down to -9999 makes as many h0 calls as one reaching down to -9."""
+    down to -9999 makes as many atom counts as one reaching down to -9:
+    twists 6 down to -3, at most 2 * 10 each for the ten bounds twists."""
     kernel = spinor(-2, 2)
-    calls = []
-    original = SheafExpr.h0
-
-    def counted(self, n):
-        calls.append(n)
-        return original(self, n)
-
-    monkeypatch.setattr(SheafExpr, "h0", counted)
     results = {}
     for lo in (-9, -9999):
         target = {n: kernel.h0(n) for n in range(lo, 7)}
-        calls.clear()
-        results[lo] = match_acm_kernel(target, (lo, 6)), len(calls)
+        counts["atoms"].clear()
+        counts["sums"].clear()
+        got = match_acm_kernel(target, (lo, 6))
+        assert counts["sums"] == []
+        results[lo] = got, len(counts["atoms"])
     assert results[-9999] == results[-9]
+    assert results[-9][1] <= 2 * 10 * 10
     assert results[-9][0] == filter_match(target, (-9, 6), -6, 3)
     assert kernel in results[-9][0]
 
 
 @pytest.mark.parametrize("target", [KERNEL_84, KERNEL_40], ids=["84", "40"])
-def test_match_compares_from_the_top_twist(monkeypatch, target):
-    """With the candidates built, matching tests each of the 1,320 once at
-    the window's top twist, where counts separate them best, and goes on
-    only with the few that survive it: at most 1,400 section counts,
-    against about 2,000 when the twists are compared from the bottom up."""
+def test_match_compares_from_the_top_twist(counts, target):
+    """With the candidates built, matching makes no SheafExpr.h0 call.  At
+    each compared twist n, the window's top twist first, it counts
+    h0(O(t + n)) and then h0(E0(t + n)) once for each of the w twists t of
+    the bounds, and reads every candidate's count off those two rows: at
+    most 2 * w atom counts per twist, against up to 4 per candidate before."""
     enumerate_rank4_candidates()
-    calls = []
-    original = SheafExpr.h0
-
-    def counted(self, n):
-        calls.append(n)
-        return original(self, n)
-
-    monkeypatch.setattr(SheafExpr, "h0", counted)
     got = match_acm_kernel(target)
-    assert len(calls) <= 1400
-    assert calls.count(MATCH_WINDOW[1]) == 1320
+    assert counts["sums"] == []
+    lo, hi = MATCH_WINDOW
+    twist_lo, twist_hi = DEFAULT_TWIST_BOUNDS
+    width = twist_hi - twist_lo + 1
+    assert len(counts["atoms"]) <= 2 * width * (hi - lo + 1)
+    assert counts["atoms"][:2 * width] == [*range(twist_lo + hi, twist_hi + hi + 1)] * 2
     assert got == filter_match(target, MATCH_WINDOW, *DEFAULT_TWIST_BOUNDS)
 
 

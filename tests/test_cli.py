@@ -325,8 +325,10 @@ def first_unprintable_twist(dim: int) -> int:
 @pytest.mark.parametrize("rows, fmt", [("ambient", "text"), ("ideal", "csv"), ("full", "json")])
 def test_tables_stop_at_the_first_value_too_long_to_print(rows, fmt, capsys, monkeypatch):
     """Each count of the window used to be built before printing failed, so
-    the time grew with the ambient dimension; now the counts stop at the
-    first one too long to print, whatever the window's top twist."""
+    the time grew with the ambient dimension, and then only the counts up to
+    the first one too long to print.  Now a bracket on the top twist's count
+    decides, and the window's counts are only compared with bounds: none is
+    built, whatever the window's top twist."""
     first = first_unprintable_twist(99999999)
     assert first == 776
     comb = math.comb
@@ -346,8 +348,56 @@ def test_tables_stop_at_the_first_value_too_long_to_print(rows, fmt, capsys, mon
             f"error: a value to print has more than {sys.get_int_max_str_digits()} digits; "
             "narrow the window or the twists\n"
         )
-        assert len(calls) == first + 1
-        assert max(calls) == 99999999 + first
+        assert calls == []
+    # the bracket leaves the counts next to the limit to an exact comparison
+    for twist, code in ((first - 1, EXIT_OK), (first, EXIT_USAGE)):
+        got = run(capsys, "table", *HUGE_AMBIENT, "--rows", rows, f"--window={twist}:{twist}",
+                  "--format", fmt)
+        assert got[0] == code and got[2] == ("" if code == EXIT_OK else TOO_LONG)
+
+
+TOO_LONG = (
+    f"error: a value to print has more than {sys.get_int_max_str_digits()} digits; "
+    "narrow the window or the twists\n"
+)
+
+
+def counted_comb(monkeypatch) -> list:
+    """Patch math.comb to record the first argument of every call."""
+    comb, calls = math.comb, []
+    monkeypatch.setattr(math, "comb", lambda n, k: calls.append(n) or comb(n, k))
+    return calls
+
+
+@pytest.mark.parametrize("dim", [300000, 1000000, 3000000])
+@pytest.mark.parametrize("rows", ["ambient", "ideal", "full"])
+def test_one_twist_window_on_a_huge_ambient_builds_no_count(rows, dim, capsys, monkeypatch):
+    """C(2m, m) has about 0.6 m digits.  Building it took 39.8 s at m = 10^6
+    before the print check failed; a bound on its size now decides it."""
+    calls = counted_comb(monkeypatch)
+    code, out, err = run(capsys, "table", "--ambient", f"p{dim}", "-d", "1", "-g", "0",
+                         "--rows", rows, f"--window={dim}:{dim}")
+    assert (code, out, err) == (EXIT_USAGE, "", TOO_LONG)
+    assert calls == []
+
+
+@pytest.mark.parametrize("ambient", ["p3", "p4", "p500", "quadric3"])
+@pytest.mark.parametrize("rows", ["ambient", "ideal", "full"])
+def test_short_count_windows_build_each_count_once(ambient, rows, capsys, monkeypatch):
+    """With every count of the window short, the check for counts too long
+    to print builds none on P^m, where a bracket decides them: the math.comb
+    calls are the table's own, as in a run with no digit cap.  On Q the
+    check builds only the top twist's count, a cubic, exactly."""
+    argv = ["table", "--ambient", ambient, "-d", "3", "-g", "0", "--rows", rows,
+            "--window=-3:40", "--format", "csv"]
+    calls = counted_comb(monkeypatch)
+    capped = run(capsys, *argv), list(calls)
+    calls.clear()
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+    uncapped = run(capsys, *argv), calls
+    top_count = [40 + 4, 40 + 2] if ambient == "quadric3" else []
+    assert capped == (uncapped[0], top_count + uncapped[1])
+    assert capped[0][0] == EXIT_OK
 
 
 def test_stopping_early_keeps_what_the_full_table_reports(tmp_path, capsys, monkeypatch):
