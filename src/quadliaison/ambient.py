@@ -39,9 +39,9 @@ class Ambient(NamedTuple("Ambient", [("kind", str), ("dim", int)])):
         return h0_proj(self.dim, k)
 
     def h0_at_least(self, k: int, bound: int) -> bool:
-        """``self.h0(k) >= bound >= 1``.  On P^m, C(N, j) with N = m + k, j = min(m, k) > 0
-        is built only if its bracket (N/j)^j >= 2^j to (e*N/j)^j leaves it in doubt."""
-        j = min(self.dim, k, bound.bit_length() + 1)  # C(N, j) rises with j up to N/2
+        """Whether h0(k) >= bound, for bound >= 1.  On P^m, C(N, j) with N = m + k and
+        j = min(m, k) is built only if its bracket (N/j)^j to (e*N/j)^j leaves it in doubt."""
+        j = min(self.dim, k, bound.bit_length() + 1)  # C(N, j) >= 2^j, rising with j <= N/2
         if not self.is_quadric and j > 0:
             low = j * (math.log2(self.dim + k) - math.log2(j)) - math.log2(bound)
             if low > 1 or low + j * math.log2(math.e) < -1:

@@ -144,10 +144,10 @@ def _stop_at_unprintable(run: _Run, ambient: Ambient, curve, window: Window) -> 
     prints, without building it.  Counts only rise past one that long (an
     ideal count that long exceeds the genus), so the top twist decides, and
     a negative ideal count, which can only come before it, raises first."""
-    digits = sys.get_int_max_str_digits()
+    digits = sys.get_int_max_str_digits()  # a cap of 0 means none
     limit = 10 ** digits  # above every genus, which argv parsing caps alike
     sections = (lambda n: 0) if curve is None else (lambda n: curve_sections(curve, n))
-    if digits and ambient.h0_at_least(window[1], limit + sections(window[1])):  # 0: no cap
+    if digits and ambient.h0_at_least(window[1], limit + sections(window[1])):
         for n in range(max(window[0], 1), window[1] + 1):  # no count below 1 exceeds 1
             if sections(n) > 0 and not ambient.h0_at_least(n, sections(n)):
                 ideal_h0(curve, n)  # raises NegativeDimension
