@@ -17,14 +17,15 @@ an arithmetic progression and the ideal row is their difference.  In the
 full table the h1 row is zero, the h2 row is runs split at n = 0 and at
 the nonspecial threshold, and the h3 row is an ambient row read backwards
 (Serre duality).  A full table stores these four rows, and its regularity
-is their first zero diagonal h1(m-1) = h2(m-2) = h3(m-3) = 0.  Both grid
-renderers share one column aligner, and both CSV renderers one joiner.
+is their first zero diagonal h1(m-1) = h2(m-2) = h3(m-3) = 0.  Its renderers
+print a row's trailing zeros as one piece, because an ACM table is mostly zeros.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from operator import sub
+from itertools import accumulate, compress, count, repeat
+from operator import ne, sub
 from typing import NamedTuple
 
 from .ambient import Ambient
@@ -170,22 +171,33 @@ class CohomTable(NamedTuple):
         return {(i, n): v for n, column in columns for i, v in enumerate(column)}
 
     def _text_rows(self) -> tuple[list[str], list[list[str]]]:
-        """The twists, and the rows h3..h0 as printed: ``?`` for an unknown cell."""
-        lo, hi = self.window
-        rows = [["?" if v is None else str(v) for v in self.rows[i]] for i in _GRID_ROWS]
-        return list(map(str, range(lo, hi + 1))), rows
+        """The twists, and rows h3..h0 as printed (None as ``?``) up to their last cell not 0."""
+        raw = [self.rows[i] for i in _GRID_ROWS]
+        tails = [next(compress(count(), map(ne, reversed(r), repeat(0))), len(r)) for r in raw]
+        rows = [["?" if v is None else str(v) for v in r[:len(r) - t]] for r, t in zip(raw, tails)]
+        return list(map(str, range(self.window[0], self.window[1] + 1))), rows
 
     def render_grid(self) -> str:
+        """Zero tails are one padded piece: a twist prints a digit, so zeros widen no column."""
         twists, rows = self._text_rows()
-        return _align_columns(
-            [[" n:", *twists]] + [[f"h{i}:", *row] for i, row in zip(_GRID_ROWS, rows)]
-        )
+        pad = list(map(len, twists))
+        for row in rows:  # len(c.rjust(w)) is max(len(c), w)
+            pad[:len(row)] = map(len, map(str.rjust, row, pad))
+        pad = [w + 2 for w in pad]
+        zeros, cut = "".join(map("  0".rjust, pad)), list(accumulate(pad, initial=0))
+        lines = [h + "".join(map(str.rjust, r, pad)) + zeros[cut[len(r)]:]
+                 for h, r in zip([" n:", *(f"h{i}:" for i in _GRID_ROWS)], [twists, *rows])]
+        return "\n".join(lines) + "\n"
 
     def render_csv(self) -> str:
+        """``i,n,value`` lines, h3 first; each row's zero tail is one join."""
         twists, rows = self._text_rows()
-        return _csv("i,n,value", [
-            f"{i},{n},{v}" for i, row in zip(_GRID_ROWS, rows) for n, v in zip(twists, row)
-        ])
+        lines = []
+        for i, row in zip(_GRID_ROWS, rows):
+            lines += [f"{i},{n},{v}" for n, v in zip(twists, row)]
+            if len(row) < len(twists):
+                lines.append(f"{i}," + f",0\n{i},".join(twists[len(row):]) + ",0")
+        return _csv("i,n,value", lines)
 
 
 def _align_columns(rows: list[list[str]]) -> str:
