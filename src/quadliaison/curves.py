@@ -180,10 +180,10 @@ class CohomTable(NamedTuple):
     def render_grid(self) -> str:
         """Zero tails are one padded piece: a twist prints a digit, so zeros widen no column."""
         twists, rows = self._text_rows()
-        pad = list(map(len, twists))
+        widths = list(map(len, twists))
         for row in rows:  # len(c.rjust(w)) is max(len(c), w)
-            pad[:len(row)] = map(len, map(str.rjust, row, pad))
-        pad = [w + 2 for w in pad]
+            widths[:len(row)] = map(len, map(str.rjust, row, widths))
+        pad = [w + 2 for w in widths]
         zeros, cut = "".join(map("  0".rjust, pad)), list(accumulate(pad, initial=0))
         lines = [h + "".join(map(str.rjust, r, pad)) + zeros[cut[len(r)]:]
                  for h, r in zip([" n:", *(f"h{i}:" for i in _GRID_ROWS)], [twists, *rows])]
