@@ -517,7 +517,7 @@ def test_directly_built_tables_render_like_the_old_renderers():
             [7] + [0] * (w - 1),  # the tail starts at column 1
             [10**12] * (w - 1) + [0],  # ... at the last column, after wide cells
             [3] + [0] * (w - 2) + [12345] * (w > 1),  # an interior run, then no tail
-            [0, None, 0, 0, 5, 0, 0][:w] + [0] * (w - 7),
+            [0, None, 0, 0, 5, 0, 0][:w] + [0] * (w - 7),  # runs around a None, then a tail
             [10 ** (k % 9) for k in range(w)],  # no zero at all
         ]
         for k in range(len(shapes) + 1):
