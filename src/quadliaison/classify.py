@@ -116,6 +116,8 @@ def kernel_table_from_resolution(
     the plain difference h0(middle(n)) - h0(I_C(n)); a negative value
     means no surjection exists.
     """
+    if not curve.ambient.is_quadric:
+        raise ValueError("resolutions are classified on the quadric threefold only")
     lo, hi = window
     out: dict[int, int] = {}
     for n in range(lo, hi + 1):
@@ -142,10 +144,8 @@ class GeneratorEstimate(NamedTuple):
     assumes_injective_multiplication: bool = True
 
 
-def generator_estimate(
-    curve: CurveClass, window: Window = DEFAULT_WINDOW
-) -> GeneratorEstimate:
-    report = regularity(full_ideal_table(curve, window))
+def generator_estimate(curve: CurveClass) -> GeneratorEstimate:
+    report = regularity(full_ideal_table(curve, DEFAULT_WINDOW))
     if report.regularity is None:
         raise ValueError("window does not certify a regularity bound")
     linear = curve.ambient.h0(1)
@@ -159,10 +159,12 @@ def generator_estimate(
     return GeneratorEstimate(counts, report.regularity)
 
 
-def etype_middle(curve: CurveClass, window: Window = DEFAULT_WINDOW) -> SheafExpr:
+def etype_middle(curve: CurveClass) -> SheafExpr:
     """Middle term O(-k) per estimated generator of degree k."""
-    counts = generator_estimate(curve, window).counts
-    return SheafExpr([(-k, count) for k, count in counts.items()], (), curve.ambient)
+    if not curve.ambient.is_quadric:
+        raise ValueError("resolutions are classified on the quadric threefold only")
+    counts = generator_estimate(curve).counts
+    return SheafExpr([(-k, count) for k, count in counts.items()])
 
 
 def etype_candidates(

@@ -84,9 +84,10 @@ class ResolutionTriple(NamedTuple("ResolutionTriple", [
     """A two-term locally-free resolution 0 -> kernel -> middle -> I_C -> 0.
 
     E-type keeps the non-split summands in the kernel, N-type in the
-    middle.  The rank/determinant invariants (middle minus kernel must be
-    rank 1 with trivial c1) are verified by the consistency checker, not
-    enforced here, so defective proposals can still be examined.
+    middle.  Both terms are sums on Q, so the curve must lie on Q.  The
+    rank/determinant invariants (middle minus kernel must be rank 1 with
+    trivial c1) are verified by the consistency checker, not enforced
+    here, so defective proposals can still be examined.
     """
 
     __slots__ = ()
@@ -94,9 +95,7 @@ class ResolutionTriple(NamedTuple("ResolutionTriple", [
     def __new__(
         cls, kernel: SheafExpr, middle: SheafExpr, curve: CurveClass, flavor: ResolutionFlavor
     ) -> ResolutionTriple:
-        if not kernel.is_zero and kernel.ambient != middle.ambient:
-            raise ValueError("kernel and middle live over different ambients")
-        if not middle.is_zero and middle.ambient != curve.ambient:
+        if not curve.ambient.is_quadric:
             raise ValueError("resolution and curve live over different ambients")
         return super().__new__(cls, kernel, middle, curve, flavor)
 
@@ -230,9 +229,7 @@ def mapping_cone_n_from_e(
 
 
 def mapping_cone_e_from_n(
-    res: ResolutionTriple,
-    divisor_twists: tuple[int, int],
-    window: Window = DEFAULT_WINDOW,
+    res: ResolutionTriple, divisor_twists: tuple[int, int]
 ) -> ResolutionTriple:
     """Inverse transport: strip the Koszul summands, dualize, twist down."""
     from .sheaves import line_bundle
@@ -246,4 +243,4 @@ def mapping_cone_e_from_n(
     kernel2 = stripped.dual().twist(-s)
     middle2 = res.kernel.dual().twist(-s)
     out = ResolutionTriple(kernel2, middle2, curve2, ResolutionFlavor.E_TYPE)
-    return _checked(out, window)
+    return _checked(out, DEFAULT_WINDOW)

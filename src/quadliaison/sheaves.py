@@ -5,14 +5,13 @@ E0(b), so an expression is two multisets of twists: ``lines`` holds the
 twists of its O(a) summands and ``spinors`` those of its E0(b).  Each is a
 canonical tuple of (twist, multiplicity) pairs, twists strictly descending
 and no multiplicity zero, so equality is syntactic; lines render before
-spinors.  All arithmetic (rank, first Chern number, section counts) is
-per summand and exact.
+spinors.  All arithmetic (rank, first Chern number, section counts on
+the quadric) is per summand and exact.
 """
 
 from __future__ import annotations
 
 from . import hilbert
-from .ambient import QUADRIC3, Ambient
 
 #: canonical (twist, multiplicity) pairs of one kind of summand
 Twists = tuple[tuple[int, int], ...]
@@ -30,29 +29,25 @@ def _canonical(pairs, name: str) -> Twists:
 
 
 class SheafExpr:
-    """Direct sum of twisted line bundles and spinor summands over one ambient.
+    """Direct sum of twisted line bundles and spinor summands on the quadric.
 
     ``lines`` and ``spinors`` are canonical tuples of (twist, multiplicity)
     pairs for the O(twist) and E0(twist) summands; two empty tuples are the
-    zero sheaf.  Spinor summands require the quadric ambient.  Instances
-    are immutable and compare and hash by (lines, spinors, ambient), the
-    arguments ``__reduce__`` rebuilds them from.
+    zero sheaf.  Instances are immutable and compare and hash by (lines,
+    spinors), the arguments ``__reduce__`` rebuilds them from.
     """
 
-    __slots__ = ("lines", "spinors", "ambient")
+    __slots__ = ("lines", "spinors")
 
-    def __init__(self, lines: Twists = (), spinors: Twists = (), ambient: Ambient = QUADRIC3):
+    def __init__(self, lines: Twists = (), spinors: Twists = ()):
         object.__setattr__(self, "lines", lines)
         object.__setattr__(self, "spinors", spinors)
-        object.__setattr__(self, "ambient", ambient)
         self.__post_init__()
 
     def __post_init__(self) -> None:
         # every public construction canonicalizes here; _replace_atoms skips it
         object.__setattr__(self, "lines", _canonical(self.lines, "O"))
         object.__setattr__(self, "spinors", _canonical(self.spinors, "E0"))
-        if self.spinors and not self.ambient.is_quadric:
-            raise ValueError("spinor summands only exist on the quadric threefold")
 
     def __setattr__(self, name: str, value: object = None) -> None:
         raise AttributeError(f"cannot assign to field {name!r} of an immutable SheafExpr")
@@ -68,11 +63,10 @@ class SheafExpr:
         return hash(self.__reduce__())
 
     def __repr__(self) -> str:
-        fields = f"lines={self.lines!r}, spinors={self.spinors!r}, ambient={self.ambient!r}"
-        return f"SheafExpr({fields})"
+        return f"SheafExpr(lines={self.lines!r}, spinors={self.spinors!r})"
 
     def __reduce__(self) -> tuple:
-        return (SheafExpr, (self.lines, self.spinors, self.ambient))
+        return (SheafExpr, (self.lines, self.spinors))
 
     @property
     def is_zero(self) -> bool:
@@ -95,7 +89,6 @@ class SheafExpr:
         clone = object.__new__(SheafExpr)
         object.__setattr__(clone, "lines", lines)
         object.__setattr__(clone, "spinors", spinors)
-        object.__setattr__(clone, "ambient", self.ambient)
         return clone
 
     def twist(self, t: int) -> "SheafExpr":
@@ -117,9 +110,8 @@ class SheafExpr:
         )
 
     def h0(self, n: int) -> int:
-        # both counts are looked up on each call, through their ambient or module
-        line_h0 = self.ambient.h0
-        spinor_h0 = hilbert.h0_spinor
+        # looked up in hilbert on each call, so a wrapper installed later sees every count
+        line_h0, spinor_h0 = hilbert.h0_quadric3, hilbert.h0_spinor
         total = 0
         for twist, mult in self.lines:
             total += line_h0(twist + n) * mult
@@ -134,14 +126,10 @@ class SheafExpr:
             return self
         if self.is_zero:
             return other
-        if self.ambient != other.ambient:
-            raise ValueError("cannot add expressions over different ambients")
-        return SheafExpr(self.lines + other.lines, self.spinors + other.spinors, self.ambient)
+        return SheafExpr(self.lines + other.lines, self.spinors + other.spinors)
 
     def without(self, other: "SheafExpr") -> "SheafExpr":
         """Multiset difference; fails if ``other`` is not contained in self."""
-        if not other.is_zero and self.ambient != other.ambient:
-            raise ValueError("cannot subtract expressions over different ambients")
         fields = []
         for name, have, take in ("O", self.lines, other.lines), ("E0", self.spinors, other.spinors):
             counts = dict(have)
@@ -151,7 +139,7 @@ class SheafExpr:
                     raise ValueError(f"expression lacks {mult} copies of {name}({twist})")
                 counts[twist] = left - mult
             fields.append(counts.items())  # the constructor drops the zeros
-        return SheafExpr(*fields, self.ambient)
+        return SheafExpr(*fields)
 
     def render(self) -> str:
         parts = [
@@ -164,15 +152,15 @@ class SheafExpr:
     __str__ = render
 
 
-def line_bundle(twist: int, multiplicity: int = 1, ambient: Ambient = QUADRIC3) -> SheafExpr:
+def line_bundle(twist: int, multiplicity: int = 1) -> SheafExpr:
     """multiplicity copies of O(twist)."""
-    return SheafExpr(((twist, multiplicity),), (), ambient)
+    return SheafExpr(((twist, multiplicity),))
 
 
 def spinor(twist: int, multiplicity: int = 1) -> SheafExpr:
-    """multiplicity copies of E0(twist); quadric threefold only."""
-    return SheafExpr((), ((twist, multiplicity),), QUADRIC3)
+    """multiplicity copies of E0(twist)."""
+    return SheafExpr((), ((twist, multiplicity),))
 
 
-def zero_sheaf(ambient: Ambient = QUADRIC3) -> SheafExpr:
-    return SheafExpr((), (), ambient)
+def zero_sheaf() -> SheafExpr:
+    return SheafExpr()

@@ -31,7 +31,6 @@ from quadliaison import (
     zero_sheaf,
 )
 from quadliaison import hilbert
-from quadliaison.ambient import Ambient
 from quadliaison.classify import _enumerate_cached, _pair_counts
 
 C84 = CurveClass(QUADRIC3, 8, 4)
@@ -247,13 +246,13 @@ def test_match_agrees_with_unpruned_filter_on_edge_draws():
 @pytest.fixture
 def counts(monkeypatch):
     """Wraps the atom counts and SheafExpr.h0.  counts["atoms"] gets the twist
-    k of every h0(O(k)) or h0(E0(k)) on Q made through Ambient.h0,
+    k of every h0(O(k)) or h0(E0(k)) on Q made through hilbert.h0_quadric3,
     hilbert.h0_quadric3_row or hilbert.h0_spinor, and counts["sums"] every
     SheafExpr.h0 twist."""
     found = {"atoms": [], "sums": []}
     atoms = found["atoms"]
     h0, h0_row, h0_spinor, sum_h0 = (
-        Ambient.h0, hilbert.h0_quadric3_row, hilbert.h0_spinor, SheafExpr.h0
+        hilbert.h0_quadric3, hilbert.h0_quadric3_row, hilbert.h0_spinor, SheafExpr.h0
     )
 
     def counted_row(lo, hi):
@@ -264,7 +263,7 @@ def counts(monkeypatch):
         found["sums"].append(n)
         return sum_h0(self, n)
 
-    monkeypatch.setattr(Ambient, "h0", lambda self, k: atoms.append(k) or h0(self, k))
+    monkeypatch.setattr(hilbert, "h0_quadric3", lambda k: atoms.append(k) or h0(k))
     monkeypatch.setattr(hilbert, "h0_quadric3_row", counted_row)
     monkeypatch.setattr(hilbert, "h0_spinor", lambda k: atoms.append(k) or h0_spinor(k))
     monkeypatch.setattr(SheafExpr, "h0", counted_sum)
@@ -350,6 +349,30 @@ def test_generator_degrees_stay_within_regularity():
 def test_etype_middle_from_estimates():
     assert etype_middle(C84) == line_bundle(-2) + line_bundle(-3, 4)
     assert etype_middle(C40) == line_bundle(-2, 5)
+
+
+C84_P4 = CurveClass(P4, 8, 4)
+MIDDLE_84 = line_bundle(-2) + line_bundle(-3, 4)
+Q_ONLY = "resolutions are classified on the quadric threefold only"
+OFF_QUADRIC = [
+    (lambda: etype_middle(C84_P4), Q_ONLY),
+    (lambda: etype_candidates(C84_P4), Q_ONLY),
+    (lambda: kernel_table_from_resolution(C84_P4, MIDDLE_84), Q_ONLY),
+    (lambda: ResolutionTriple(spinor(-2, 2), MIDDLE_84, C84_P4, ResolutionFlavor.E_TYPE),
+     "resolution and curve live over different ambients"),
+]
+
+
+@pytest.mark.parametrize(
+    "build, message", OFF_QUADRIC,
+    ids=["etype_middle", "etype_candidates", "kernel_table_from_resolution", "ResolutionTriple"],
+)
+def test_curves_off_the_quadric_are_refused(build, message):
+    """Sheaf sums live on Q, so a P4 curve gets no middle term, no kernel
+    table and no resolution, rather than Q sums built from its P4 counts."""
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
 
 
 def test_etype_synthesis_end_to_end():

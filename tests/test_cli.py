@@ -223,17 +223,27 @@ def test_verify_csv_golden(capsys):
     assert out == golden("verify.csv")
 
 
-@pytest.mark.parametrize("module", ["quadliaison", "quadliaison.cli"])
-def test_python_m_runs_the_cli(module):
+def run_module(module, *argv):
+    """``python -m module argv`` in a fresh interpreter with ``src`` on the path."""
     src = str(Path(__file__).parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", module, "verify"],
-        capture_output=True, text=True, env=env, timeout=60,
+    return subprocess.run(
+        [sys.executable, "-m", module, *argv], capture_output=True, env=env, timeout=60,
     )
-    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
-    assert proc.stdout == golden("verify.txt")
+
+
+@pytest.mark.parametrize("module", ["quadliaison", "quadliaison.cli"])
+def test_python_m_runs_the_cli(module):
+    proc = run_module(module, "verify")
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, b"")
+    assert proc.stdout == (GOLDEN / "verify.txt").read_bytes()
+
+
+def test_python_m_without_arguments_prints_usage():
+    proc = run_module("quadliaison")
+    assert (proc.returncode, proc.stdout) == (EXIT_USAGE, b"")
+    assert proc.stderr.decode().splitlines()[0].startswith("usage: ql ")
 
 
 def test_verify_output_is_deterministic(capsys):
