@@ -28,8 +28,8 @@ _EXPORTS = {
     "liaison": "CellCheck CILinkage ConsistencyReport ResolutionFlavor ResolutionTriple"
     " ci_residual mapping_cone_e_from_n mapping_cone_n_from_e quadric_linkage"
     " resolution_consistency_check",
-    "sheaves": "SheafExpr line_bundle spinor zero_sheaf",
-    "verify": "CheckResult all_ok run_reference_checks",
+    "sheaves": "SheafExpr line_bundle spinor",
+    "verify": "CheckResult run_reference_checks",
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

@@ -19,7 +19,7 @@ from typing import Mapping, NamedTuple
 from . import hilbert
 from .curves import DEFAULT_WINDOW, CurveClass, Window, full_ideal_table, ideal_h0, regularity
 from .errors import NegativeDimension, RangeTooLarge
-from .sheaves import SheafExpr, zero_sheaf
+from .sheaves import SheafExpr
 
 CANDIDATE_CAP = 10_000
 DEFAULT_TWIST_BOUNDS: tuple[int, int] = (-6, 3)
@@ -44,7 +44,7 @@ def _enumerate_cached(twist_lo: int, twist_hi: int) -> tuple[SheafExpr, ...]:
     # groupby runs are already canonical; the three shapes differ in their
     # spinor count, so no candidate repeats
     twists = range(twist_hi, twist_lo - 1, -1)
-    build = zero_sheaf()._replace_atoms
+    build = SheafExpr()._replace_atoms
     pairs = [_runs(pair) for pair in combinations_with_replacement(twists, 2)]
     out = [build(pair, ((a, 1),)) for a in twists for pair in pairs]
     out += [build((), pair) for pair in pairs]
@@ -116,8 +116,7 @@ def kernel_table_from_resolution(
     the plain difference h0(middle(n)) - h0(I_C(n)); a negative value
     means no surjection exists.
     """
-    if not curve.ambient.is_quadric:
-        raise ValueError("resolutions are classified on the quadric threefold only")
+    curve.on_quadric()
     lo, hi = window
     out: dict[int, int] = {}
     for n in range(lo, hi + 1):
@@ -147,7 +146,9 @@ class GeneratorEstimate(NamedTuple):
 def generator_estimate(curve: CurveClass) -> GeneratorEstimate:
     report = regularity(full_ideal_table(curve, DEFAULT_WINDOW))
     if report.regularity is None:
-        raise ValueError("window does not certify a regularity bound")
+        lo, hi = DEFAULT_WINDOW
+        raise ValueError(f"the generator estimate's fixed window {lo}:{hi} does not certify"
+                         " a regularity bound; --window does not change it")
     linear = curve.ambient.h0(1)
     counts: dict[int, int] = {}
     for k in range(1, report.regularity + 1):
@@ -161,9 +162,7 @@ def generator_estimate(curve: CurveClass) -> GeneratorEstimate:
 
 def etype_middle(curve: CurveClass) -> SheafExpr:
     """Middle term O(-k) per estimated generator of degree k."""
-    if not curve.ambient.is_quadric:
-        raise ValueError("resolutions are classified on the quadric threefold only")
-    counts = generator_estimate(curve).counts
+    counts = generator_estimate(curve.on_quadric()).counts
     return SheafExpr([(-k, count) for k, count in counts.items()])
 
 

@@ -244,9 +244,7 @@ def cmd_resolve(args: argparse.Namespace) -> int:
 
     run = _Run(args)
     window = run.window()
-    curve = run.curve()
-    if not curve.ambient.is_quadric:
-        raise ValueError("resolutions are classified on the quadric threefold only")
+    curve = run.curve().on_quadric()
     flavor = "etype" if args.etype else "ntype" if args.ntype else run.get("flavor")
     if flavor == "etype":
         triple = _unique_etype(curve, window)
@@ -283,7 +281,7 @@ def cmd_resolve(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    from .verify import all_ok, run_reference_checks
+    from .verify import run_reference_checks
 
     run = _Run(args)
     results = run_reference_checks()
@@ -310,7 +308,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     run.emit(text, csv_text, lambda: [
         {"name": r.name, "status": r.status, "detail": r.detail} for r in results
     ])
-    return EXIT_OK if all_ok(results) else EXIT_INCONSISTENT
+    return EXIT_OK if all(r.ok for r in results) else EXIT_INCONSISTENT
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -74,6 +74,12 @@ class CurveClass(
     def label(self) -> str:
         return f"({self.degree},{self.genus}) in {self.ambient.label()}"
 
+    def on_quadric(self) -> CurveClass:
+        """This curve, or ValueError off Q: sheaf sums and resolutions live on Q only."""
+        if not self.ambient.is_quadric:
+            raise ValueError("resolutions are classified on the quadric threefold only")
+        return self
+
 
 def rr_chi(degree: int, genus: int, twist: int) -> int:
     """Euler characteristic chi(O_C(twist)) = twist*degree + 1 - genus."""

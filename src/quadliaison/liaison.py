@@ -95,9 +95,7 @@ class ResolutionTriple(NamedTuple("ResolutionTriple", [
     def __new__(
         cls, kernel: SheafExpr, middle: SheafExpr, curve: CurveClass, flavor: ResolutionFlavor
     ) -> ResolutionTriple:
-        if not curve.ambient.is_quadric:
-            raise ValueError("resolution and curve live over different ambients")
-        return super().__new__(cls, kernel, middle, curve, flavor)
+        return super().__new__(cls, kernel, middle, curve.on_quadric(), flavor)
 
     @property
     def rank_diff(self) -> int:
@@ -198,8 +196,7 @@ def _checked(res: ResolutionTriple, window: Window) -> ResolutionTriple:
 
 def residual_curve(curve: CurveClass, a: int, b: int) -> CurveClass:
     """The curve linked to ``curve`` on Q by divisors O_Q(a), O_Q(b)."""
-    if not curve.ambient.is_quadric:
-        raise ValueError("mapping cones over divisor pairs live on the quadric")
+    curve.on_quadric()
     d2, g2 = ci_residual(curve.degree, curve.genus, quadric_linkage(a, b))
     return CurveClass(curve.ambient, d2, g2)
 

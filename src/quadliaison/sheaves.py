@@ -69,10 +69,6 @@ class SheafExpr:
         return (SheafExpr, (self.lines, self.spinors))
 
     @property
-    def is_zero(self) -> bool:
-        return not (self.lines or self.spinors)
-
-    @property
     def rank(self) -> int:
         spinors = sum(mult for _, mult in self.spinors)
         return sum(mult for _, mult in self.lines) + hilbert.SPINOR_RANK * spinors
@@ -93,8 +89,6 @@ class SheafExpr:
 
     def twist(self, t: int) -> "SheafExpr":
         # a uniform shift preserves distinctness and the descending order
-        if t == 0:
-            return self
         return self._replace_atoms(
             tuple((twist + t, mult) for twist, mult in self.lines),
             tuple((twist + t, mult) for twist, mult in self.spinors),
@@ -122,10 +116,6 @@ class SheafExpr:
     def __add__(self, other: "SheafExpr") -> "SheafExpr":
         if not isinstance(other, SheafExpr):
             return NotImplemented
-        if other.is_zero:
-            return self
-        if self.is_zero:
-            return other
         return SheafExpr(self.lines + other.lines, self.spinors + other.spinors)
 
     def without(self, other: "SheafExpr") -> "SheafExpr":
@@ -160,7 +150,3 @@ def line_bundle(twist: int, multiplicity: int = 1) -> SheafExpr:
 def spinor(twist: int, multiplicity: int = 1) -> SheafExpr:
     """multiplicity copies of E0(twist)."""
     return SheafExpr((), ((twist, multiplicity),))
-
-
-def zero_sheaf() -> SheafExpr:
-    return SheafExpr()

@@ -56,10 +56,6 @@ class CheckResult(NamedTuple):
         return self.status != FAIL
 
 
-def all_ok(results: list[CheckResult]) -> bool:
-    return all(r.ok for r in results)
-
-
 def _fmt(value) -> str:
     if isinstance(value, dict):
         return "{" + ", ".join(f"{k}:{v}" for k, v in sorted(value.items())) + "}"

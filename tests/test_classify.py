@@ -28,10 +28,10 @@ from quadliaison import (
     resolution_consistency_check,
     SheafExpr,
     spinor,
-    zero_sheaf,
 )
 from quadliaison import hilbert
 from quadliaison.classify import _enumerate_cached, _pair_counts
+from quadliaison.liaison import residual_curve
 
 C84 = CurveClass(QUADRIC3, 8, 4)
 C40 = CurveClass(QUADRIC3, 4, 0)
@@ -96,7 +96,7 @@ def constructor_enumeration(lo, hi):
     out = [spinor(a) + line_bundle(b) + line_bundle(c) for a in twists for b, c in pairs]
     out += [spinor(a) + spinor(b) for a, b in pairs]
     for quad in combinations_with_replacement(twists, 4):
-        expr = zero_sheaf()
+        expr = SheafExpr()
         for t in quad:
             expr = expr + line_bundle(t)
         out.append(expr)
@@ -355,24 +355,26 @@ C84_P4 = CurveClass(P4, 8, 4)
 MIDDLE_84 = line_bundle(-2) + line_bundle(-3, 4)
 Q_ONLY = "resolutions are classified on the quadric threefold only"
 OFF_QUADRIC = [
-    (lambda: etype_middle(C84_P4), Q_ONLY),
-    (lambda: etype_candidates(C84_P4), Q_ONLY),
-    (lambda: kernel_table_from_resolution(C84_P4, MIDDLE_84), Q_ONLY),
-    (lambda: ResolutionTriple(spinor(-2, 2), MIDDLE_84, C84_P4, ResolutionFlavor.E_TYPE),
-     "resolution and curve live over different ambients"),
+    lambda: etype_middle(C84_P4),
+    lambda: etype_candidates(C84_P4),
+    lambda: kernel_table_from_resolution(C84_P4, MIDDLE_84),
+    lambda: ResolutionTriple(spinor(-2, 2), MIDDLE_84, C84_P4, ResolutionFlavor.E_TYPE),
+    lambda: residual_curve(C84_P4, 2, 3),
 ]
 
 
 @pytest.mark.parametrize(
-    "build, message", OFF_QUADRIC,
-    ids=["etype_middle", "etype_candidates", "kernel_table_from_resolution", "ResolutionTriple"],
+    "build", OFF_QUADRIC,
+    ids=["etype_middle", "etype_candidates", "kernel_table_from_resolution", "ResolutionTriple",
+         "residual_curve"],
 )
-def test_curves_off_the_quadric_are_refused(build, message):
+def test_curves_off_the_quadric_are_refused(build):
     """Sheaf sums live on Q, so a P4 curve gets no middle term, no kernel
-    table and no resolution, rather than Q sums built from its P4 counts."""
+    table, no resolution and no residual, rather than Q sums built from its
+    P4 counts; every refusal gives the one text of CurveClass.on_quadric."""
     with pytest.raises(ValueError) as info:
         build()
-    assert str(info.value) == message
+    assert str(info.value) == Q_ONLY
 
 
 def test_etype_synthesis_end_to_end():

@@ -181,6 +181,28 @@ def test_resolve_requires_quadric(capsys):
     assert "quadric threefold" in err
 
 
+def test_resolve_ntype_off_the_quadric_is_refused(capsys):
+    code, out, err = run(
+        capsys, "resolve", "--ambient", "p4", "-d", "8", "-g", "4", "--ntype", "--via", "2,3",
+    )
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: resolutions are classified on the quadric threefold only\n"
+
+
+@pytest.mark.parametrize("window", [[], ["--window=-1:40"], ["--window", "0:60"]])
+def test_resolve_regularity_error_names_the_fixed_window(capsys, window):
+    """The generator estimate reads the default window whatever --window is,
+    and the message says so."""
+    code, out, err = run(
+        capsys, "resolve", "--ambient", "q", "-d", "8", "-g", "40", "--etype", *window,
+    )
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == (
+        "error: the generator estimate's fixed window -1:8 does not certify"
+        " a regularity bound; --window does not change it\n"
+    )
+
+
 def test_resolve_ntype_requires_via(capsys):
     code, _, err = run(
         capsys, "resolve", "--ambient", "q", "-d", "8", "-g", "4", "--ntype",

@@ -122,7 +122,7 @@ VALIDATION = [
     (lambda: CILinkage(4, (2, 3)), "a curve in P^4 is cut by 3 hypersurfaces, got 2"),
     (lambda: CILinkage(3, (2, 0)), "hypersurface degrees must be positive"),
     (lambda: ResolutionTriple(SheafExpr(), line_bundle(-2), CurveClass(P4, 4, 0), E_TYPE),
-     "resolution and curve live over different ambients"),
+     "resolutions are classified on the quadric threefold only"),
     (lambda: SheafExpr(((1, -1),)), "negative multiplicity -1 for O(1)"),
 ]
 

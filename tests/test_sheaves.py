@@ -16,7 +16,6 @@ from quadliaison import (
     hilbert,
     line_bundle,
     spinor,
-    zero_sheaf,
 )
 
 
@@ -35,7 +34,7 @@ def test_render_canonical_order():
     assert (spinor(-1, 2) + line_bundle(-3) + line_bundle(-2)).render() == (
         "O(-2) + O(-3) + 2*E0(-1)"
     )
-    assert zero_sheaf().render() == "0"
+    assert SheafExpr().render() == "0"
 
 
 def test_equality_is_order_insensitive():
@@ -65,7 +64,7 @@ def test_rank_c1():
     for expr, rank_c1 in (
         (spinor(-2, 2), (4, -14)),
         (line_bundle(-2) + line_bundle(-3, 4), (5, -14)),
-        (zero_sheaf(), (0, 0)),
+        (SheafExpr(), (0, 0)),
     ):
         assert (expr.rank, expr.c1) == rank_c1
 
@@ -80,7 +79,7 @@ def test_h0_examples():
 def test_multiset_subtraction():
     b = line_bundle(-2) + line_bundle(-3, 4)
     assert b.without(line_bundle(-3)) == line_bundle(-2) + line_bundle(-3, 3)
-    assert b.without(b) == zero_sheaf()
+    assert b.without(b) == SheafExpr()
     with pytest.raises(ValueError, match=r"^expression lacks 1 copies of O\(-5\)$"):
         b.without(line_bundle(-5))
     with pytest.raises(ValueError, match=r"^expression lacks 5 copies of O\(-3\)$"):
@@ -93,11 +92,11 @@ def test_multiset_subtraction():
 def test_bad_multiplicity_rejected():
     with pytest.raises(ValueError):
         SheafExpr(((0, -1),))
-    assert line_bundle(3, 0) == zero_sheaf()
+    assert line_bundle(3, 0) == SheafExpr()
 
 
 def random_expr(rng) -> SheafExpr:
-    expr = zero_sheaf()
+    expr = SheafExpr()
     for _ in range(rng.randint(0, 4)):
         twist, mult = rng.randint(-8, 8), rng.randint(1, 3)
         expr = expr + (
@@ -147,14 +146,20 @@ def test_every_transform_keeps_both_fields_canonical():
 
 
 def test_additivity():
+    """Seeded sums, each draw also added to the zero sheaf on either side:
+    zero is a neutral element and a zero twist changes nothing."""
     rng = random.Random(12)
+    zero = SheafExpr()
     for _ in range(300):
         left, right = random_expr(rng), random_expr(rng)
-        total = left + right
-        assert total.rank == left.rank + right.rank
-        assert total.c1 == left.c1 + right.c1
-        for n in (-1, 0, 2, 5):
-            assert total.h0(n) == left.h0(n) + right.h0(n)
+        assert left + zero == left == zero + left
+        assert left.twist(0) == left
+        for a, b in (left, right), (left, zero), (zero, left):
+            total = a + b
+            assert total.rank == a.rank + b.rank
+            assert total.c1 == a.c1 + b.c1
+            for n in (-1, 0, 2, 5):
+                assert total.h0(n) == a.h0(n) + b.h0(n)
 
 
 def atomwise_h0(expr: SheafExpr, n: int) -> int:
@@ -172,7 +177,7 @@ def random_pairs(rng) -> tuple:
 
 def test_h0_agrees_with_atomwise_oracle():
     rng = random.Random("h0-quadric3")
-    exprs = [zero_sheaf()]
+    exprs = [SheafExpr()]
     for _ in range(150):
         exprs.append(SheafExpr(random_pairs(rng), random_pairs(rng)))
     spinor_sums = 0

@@ -20,7 +20,8 @@ import quadliaison
 SRC = str(Path(__file__).parent.parent / "src")
 
 # What the package root re-exported when it imported every submodule eagerly,
-# less the two atom classes that sheaves no longer has.
+# less the two atom classes that sheaves no longer has and the one-line
+# wrappers zero_sheaf and all_ok.
 REEXPORTS = {
     "ambient": "P2 P3 P4 QUADRIC3 Ambient parse_ambient proj_space",
     "classify": "CANDIDATE_CAP DEFAULT_TWIST_BOUNDS MATCH_WINDOW GeneratorEstimate "
@@ -37,8 +38,8 @@ REEXPORTS = {
     "liaison": "CellCheck CILinkage ConsistencyReport ResolutionFlavor ResolutionTriple "
     "ci_residual mapping_cone_e_from_n mapping_cone_n_from_e quadric_linkage "
     "resolution_consistency_check",
-    "sheaves": "SheafExpr line_bundle spinor zero_sheaf",
-    "verify": "CheckResult all_ok run_reference_checks",
+    "sheaves": "SheafExpr line_bundle spinor",
+    "verify": "CheckResult run_reference_checks",
 }
 REEXPORTED = [(module, name) for module, names in REEXPORTS.items() for name in names.split()]
 # ``from quadliaison import *`` bound the re-exports and, as a side effect of
