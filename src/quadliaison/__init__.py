@@ -18,8 +18,8 @@ _EXPORTS = {
     " enumerate_rank4_candidates etype_candidates etype_middle generator_estimate"
     " kernel_table_from_resolution match_acm_kernel rank4_candidate_count",
     "curves": "DEFAULT_WINDOW CohomTable CurveClass Feasibility RegularityReport Window"
-    " acm_embedding_obstruction ambient_table curve_sections full_ideal_table ideal_h0"
-    " ideal_h0_table klein_parity_check nonspecial_threshold parse_window plane_genus"
+    " acm_embedding_obstruction ambient_table full_ideal_table ideal_h0_table"
+    " klein_parity_check nonspecial_threshold parse_window plane_genus"
     " quadric_surface_genus_spectrum regularity render_value_csv render_value_row rr_chi"
     " section_table",
     "errors": "InconsistencyError InfeasibleError MappingConeInconsistent NegativeDimension"

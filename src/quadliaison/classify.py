@@ -17,7 +17,8 @@ from itertools import combinations_with_replacement, groupby
 from typing import Mapping, NamedTuple
 
 from . import hilbert
-from .curves import DEFAULT_WINDOW, CurveClass, Window, full_ideal_table, ideal_h0, regularity
+from .curves import (DEFAULT_WINDOW, CurveClass, Window, full_ideal_table, ideal_h0_table,
+                     regularity)
 from .errors import NegativeDimension, RangeTooLarge
 from .sheaves import SheafExpr
 
@@ -114,13 +115,12 @@ def kernel_table_from_resolution(
 
     For an ACM curve the kernel has no middle cohomology, so its h0 is
     the plain difference h0(middle(n)) - h0(I_C(n)); a negative value
-    means no surjection exists.
+    means no surjection exists.  The ideal row is built first, so a
+    negative ideal count anywhere in the window raises before a kernel one.
     """
-    curve.on_quadric()
-    lo, hi = window
     out: dict[int, int] = {}
-    for n in range(lo, hi + 1):
-        value = middle.h0(n) - ideal_h0(curve, n)
+    for n, ideal in ideal_h0_table(curve.on_quadric(), window).items():
+        value = middle.h0(n) - ideal
         if value < 0:
             raise NegativeDimension(
                 n, value, f"kernel section count {value} < 0 at twist {n}"
@@ -144,17 +144,17 @@ class GeneratorEstimate(NamedTuple):
 
 
 def generator_estimate(curve: CurveClass) -> GeneratorEstimate:
-    report = regularity(full_ideal_table(curve, DEFAULT_WINDOW))
+    table = full_ideal_table(curve, DEFAULT_WINDOW)
+    report = regularity(table)
+    lo, hi = DEFAULT_WINDOW
     if report.regularity is None:
-        lo, hi = DEFAULT_WINDOW
         raise ValueError(f"the generator estimate's fixed window {lo}:{hi} does not certify"
                          " a regularity bound; --window does not change it")
+    ideal = table.rows[0][-lo:]  # h0(I_C(k)) for k = 0..hi, and regularity <= hi
     linear = curve.ambient.h0(1)
     counts: dict[int, int] = {}
     for k in range(1, report.regularity + 1):
-        current = ideal_h0(curve, k)
-        span = ideal_h0(curve, k - 1) * linear
-        fresh = current - min(span, current)
+        fresh = ideal[k] - min(ideal[k - 1] * linear, ideal[k])
         if fresh:
             counts[k] = fresh
     return GeneratorEstimate(counts, report.regularity)

@@ -27,13 +27,12 @@ from .curves import (
     CurveClass,
     Window,
     ambient_table,
-    curve_sections,
     full_ideal_table,
-    ideal_h0,
     ideal_h0_table,
     parse_window,
     render_value_csv,
     render_value_row,
+    rr_chi,
     section_table,
 )
 from .errors import InconsistencyError, InfeasibleError
@@ -146,11 +145,13 @@ def _stop_at_unprintable(run: _Run, ambient: Ambient, curve, window: Window) -> 
     a negative ideal count, which can only come before it, raises first."""
     digits = sys.get_int_max_str_digits()  # a cap of 0 means none
     limit = 10 ** digits  # above every genus, which argv parsing caps alike
-    sections = (lambda n: 0) if curve is None else (lambda n: curve_sections(curve, n))
-    if digits and ambient.h0_at_least(window[1], limit + sections(window[1])):
-        for n in range(max(window[0], 1), window[1] + 1):  # no count below 1 exceeds 1
-            if sections(n) > 0 and not ambient.h0_at_least(n, sections(n)):
-                ideal_h0(curve, n)  # raises NegativeDimension
+    lo, hi = window
+    top = 0 if curve is None else section_table(curve, (hi, hi))[hi]
+    if digits and ambient.h0_at_least(hi, limit + top):
+        for n in range(max(lo, 1), hi + 1) if curve else ():  # no count below 1 exceeds 1
+            sections = rr_chi(curve.degree, curve.genus, n)  # chi from n = 1 on
+            if sections > 0 and not ambient.h0_at_least(n, sections):
+                ideal_h0_table(curve, (n, n))  # raises NegativeDimension
         run.emit(*[lambda: str(limit)] * 3)
 
 

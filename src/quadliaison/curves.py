@@ -86,22 +86,13 @@ def rr_chi(degree: int, genus: int, twist: int) -> int:
     return twist * degree + 1 - genus
 
 
-def curve_sections(curve: CurveClass, n: int) -> int:
-    """h0(O_C(n)) for an ACM curve: nonspecial for n >= 1, connected at 0."""
-    if n < 0:
-        return 0
-    if n == 0:
-        return 1
-    return rr_chi(curve.degree, curve.genus, n)
-
-
 def section_table(curve: CurveClass, window: Window = DEFAULT_WINDOW) -> dict[int, int]:
     lo, hi = window
     return dict(zip(range(lo, hi + 1), _section_row(curve, lo, hi)))
 
 
 def _section_row(curve: CurveClass, lo: int, hi: int) -> list[int]:
-    """``curve_sections`` for n = lo..hi: zeros, 1 at n = 0, then a step of d."""
+    """h0(O_C(n)) for n = lo..hi: zeros, 1 at n = 0, then a step of d."""
     d, g = curve.degree, curve.genus
     row = [0] * max(0, min(hi, -1) - lo + 1)
     if lo <= 0 <= hi:
@@ -110,15 +101,8 @@ def _section_row(curve: CurveClass, lo: int, hi: int) -> list[int]:
     return row
 
 
-def ideal_h0(curve: CurveClass, n: int) -> int:
-    value = curve.ambient.h0(n) - curve_sections(curve, n)
-    if value < 0:
-        raise NegativeDimension(n, value)
-    return value
-
-
 def _ideal_row(curve: CurveClass, lo: int, hi: int) -> list[int]:
-    """``ideal_h0`` for n = lo..hi; raises at the first negative twist.
+    """h0(I_C(n)) for n = lo..hi; raises at the first negative twist.
 
     A count can only be negative at 1 <= n <= 2d (past 2d the ambient
     count outgrows the sections, see acm_embedding_obstruction), so that
@@ -323,10 +307,10 @@ def acm_embedding_obstruction(degree: int, genus: int, ambient: Ambient) -> Feas
     is negative there, a second bisection over the strictly falling part
     finds the first negative twist.  Both take O(log degree) evaluations.
     """
-    probe = CurveClass(ambient, degree, genus)
+    CurveClass(ambient, degree, genus)  # refuses a degree < 1 or a negative genus
 
     def slack(n: int) -> int:
-        return ambient.h0(n) - curve_sections(probe, n)
+        return ambient.h0(n) - rr_chi(degree, genus, n)
 
     twists = range(1, 2 * degree + 1)
     lowest = twists[bisect_left(

@@ -6,7 +6,9 @@
   of the curve's ideal or of a resolution kernel comes out negative.
 - InconsistencyError (exit 3): an arithmetic cross-check on a resolution
   failed, or a kernel match is ambiguous.  Its subclass
-  MappingConeInconsistent names the first failing twist of a mapping cone.
+  MappingConeInconsistent names the first failing twist of a mapping cone,
+  or, when every cell passes but the rank/c1 check fails, has twist None,
+  lhs (rank diff, c1 diff) and rhs (1, 0).
 - RangeTooLarge (exit 1, a ValueError like every other usage error): an
   enumeration would exceed the candidate cap.
 """
@@ -41,7 +43,8 @@ class InconsistencyError(QLError):
 class MappingConeInconsistent(InconsistencyError):
     """A mapping-cone output failed its section-count consistency check."""
 
-    def __init__(self, twist: int, lhs: int, rhs: int, message: str | None = None):
+    def __init__(self, twist: int | None, lhs: int | tuple[int, int], rhs: int | tuple[int, int],
+                 message: str | None = None):
         self.twist = twist
         self.lhs = lhs
         self.rhs = rhs

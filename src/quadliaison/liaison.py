@@ -20,7 +20,7 @@ from enum import Enum
 from math import prod
 from typing import TYPE_CHECKING, NamedTuple
 
-from .curves import DEFAULT_WINDOW, CurveClass, Window, ideal_h0
+from .curves import DEFAULT_WINDOW, CurveClass, Window, ideal_h0_table
 from .errors import InfeasibleError, MappingConeInconsistent
 
 if TYPE_CHECKING:  # the mapping cones import sheaves, so `ql link` never loads it
@@ -160,12 +160,12 @@ def resolution_consistency_check(
     """Audit a proposed resolution against the curve's forced section counts.
 
     Failures are reported, never raised: a defective resolution is a
-    legitimate object of study.
+    legitimate object of study.  A curve that cannot exist is not: a
+    negative ideal count in the window raises NegativeDimension.
     """
-    lo, hi = window
     cells = tuple(
-        CellCheck(n, res.middle.h0(n) - res.kernel.h0(n), ideal_h0(res.curve, n))
-        for n in range(lo, hi + 1)
+        CellCheck(n, res.middle.h0(n) - res.kernel.h0(n), ideal)
+        for n, ideal in ideal_h0_table(res.curve, window).items()
     )
     return ConsistencyReport(
         resolution=res,
@@ -183,14 +183,10 @@ def _checked(res: ResolutionTriple, window: Window) -> ResolutionTriple:
     fail = report.first_failure()
     if fail is not None:
         raise MappingConeInconsistent(fail.twist, fail.lhs, fail.rhs)
-    raise MappingConeInconsistent(
-        window[0],
-        res.rank_diff,
-        1,
-        message=(
-            f"mapping cone output has rank diff {res.rank_diff} (want 1), "
-            f"c1 diff {res.c1_diff} (want 0)"
-        ),
+    raise MappingConeInconsistent(  # every cell passed: no twist, (rank, c1) diffs instead
+        None, (res.rank_diff, res.c1_diff), (1, 0),
+        message=f"mapping cone output has rank diff {res.rank_diff} (want 1), "
+        f"c1 diff {res.c1_diff} (want 0)",
     )
 
 

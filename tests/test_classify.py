@@ -1,6 +1,7 @@
 """Tests for rank-4 bundle enumeration, kernel matching, and synthesis."""
 
 import random
+from collections import Counter
 from itertools import combinations_with_replacement
 
 import pytest
@@ -8,8 +9,12 @@ import pytest
 from quadliaison import (
     CANDIDATE_CAP,
     DEFAULT_TWIST_BOUNDS,
+    DEFAULT_WINDOW,
     MATCH_WINDOW,
+    Ambient,
+    CellCheck,
     CurveClass,
+    GeneratorEstimate,
     P4,
     QUADRIC3,
     RangeTooLarge,
@@ -19,19 +24,23 @@ from quadliaison import (
     enumerate_rank4_candidates,
     etype_candidates,
     etype_middle,
+    full_ideal_table,
     generator_estimate,
-    ideal_h0,
     kernel_table_from_resolution,
     line_bundle,
+    mapping_cone_n_from_e,
     match_acm_kernel,
     rank4_candidate_count,
+    regularity,
     resolution_consistency_check,
+    rr_chi,
     SheafExpr,
     spinor,
 )
 from quadliaison import hilbert
 from quadliaison.classify import _enumerate_cached, _pair_counts
 from quadliaison.liaison import residual_curve
+from quadliaison.verify import ETYPE_40, ETYPE_84
 
 C84 = CurveClass(QUADRIC3, 8, 4)
 C40 = CurveClass(QUADRIC3, 4, 0)
@@ -315,11 +324,124 @@ def test_kernel_table_from_resolution():
 
 
 def test_kernel_table_reports_deficient_middle():
-    # a single O(-2) has too few sections to surject onto the ideal
-    with pytest.raises(NegativeDimension) as info:
-        kernel_table_from_resolution(C84, line_bundle(-2))
-    assert info.value.twist == 3
-    assert info.value.value == 5 - ideal_h0(C84, 3)
+    cases = [
+        # a single O(-2) has too few sections to surject onto the ideal: 5 - 9 at twist 3
+        (C84, 3, -4, "kernel section count -4 < 0 at twist 3"),
+        # the kernel count is -1 at twist 1 too, but the ideal row, built
+        # first, raises at its own first negative twist
+        (CurveClass(QUADRIC3, 11, 8), 2, -1, "section count -1 < 0 at twist 2: no such curve"),
+    ]
+    for curve, twist, value, message in cases:
+        with pytest.raises(NegativeDimension) as info:
+            kernel_table_from_resolution(curve, line_bundle(-2), MATCH_WINDOW)
+        assert (info.value.twist, info.value.value, str(info.value)) == (twist, value, message)
+
+
+# -- the twist-at-a-time resolve chain, kept as the oracle -------------------
+
+
+def old_ideal(curve, n):
+    value = curve.ambient.h0(n) - (0 if n < 0 else 1 if n == 0 else rr_chi(*curve[1:], n))
+    if value < 0:
+        raise NegativeDimension(n, value)
+    return value
+
+
+def old_kernel_table(curve, middle, window):
+    curve.on_quadric()
+    out = {}
+    for n in range(window[0], window[1] + 1):
+        value = middle.h0(n) - old_ideal(curve, n)
+        if value < 0:
+            raise NegativeDimension(n, value, f"kernel section count {value} < 0 at twist {n}")
+        out[n] = value
+    return out
+
+
+def old_consistency_cells(res, window):
+    return tuple(CellCheck(n, res.middle.h0(n) - res.kernel.h0(n), old_ideal(res.curve, n))
+                 for n in range(window[0], window[1] + 1))
+
+
+def old_generator_estimate(curve):
+    report = regularity(full_ideal_table(curve, DEFAULT_WINDOW))
+    if report.regularity is None:
+        raise ValueError("the generator estimate's fixed window -1:8 does not certify"
+                         " a regularity bound; --window does not change it")
+    linear = curve.ambient.h0(1)
+    counts = {}
+    for k in range(1, report.regularity + 1):
+        current = old_ideal(curve, k)
+        fresh = current - min(old_ideal(curve, k - 1) * linear, current)
+        if fresh:
+            counts[k] = fresh
+    return GeneratorEstimate(counts, report.regularity)
+
+
+def outcome(call, *args):
+    """("value", call(*args)), or the class, message and fields of the error it raised."""
+    try:
+        return "value", call(*args)
+    except (NegativeDimension, ValueError) as exc:
+        fields = getattr(exc, "twist", None), getattr(exc, "value", None)
+        return "raised", type(exc), str(exc), *fields
+
+
+def random_sum(rng, rank):
+    """A sum of O(t) and E0(t) on Q of rank at least the given one, twists in -8..2."""
+    out = line_bundle(rng.randint(-8, 2))
+    while out.rank < rank:
+        out += (spinor if rng.random() < 0.3 else line_bundle)(rng.randint(-8, 2))
+    return out
+
+
+def test_resolve_chain_agrees_with_the_twist_at_a_time_oracle():
+    """On seeded Q classes with d <= 300 and g <= 3d, random middles and
+    kernels and windows in -4..70, the generator estimate, the audit and
+    the kernel table give what the per-twist oracle gives, value or error.
+    The one exception: the kernel table builds the ideal row first, so where
+    the oracle stops at a negative kernel count before the window's first
+    negative ideal count, it raises that ideal count instead."""
+    rng = random.Random(15)
+    seen = Counter()
+    for _ in range(1000):
+        d = rng.randint(1, 12) if rng.random() < 0.7 else rng.randint(1, 300)
+        curve = CurveClass(QUADRIC3, d, rng.randint(0, 3 * d))
+        lo = rng.randint(-4, 70)
+        window = (lo, rng.randint(lo - 1, 70))
+        triple = ResolutionTriple(random_sum(rng, 4), random_sum(rng, 5), curve,
+                                  ResolutionFlavor.E_TYPE)
+        ctx = (curve, triple, window)
+        estimate = outcome(generator_estimate, curve)
+        assert estimate == outcome(old_generator_estimate, curve), ctx
+        cells = outcome(lambda: resolution_consistency_check(triple, window).cells)
+        assert cells == outcome(old_consistency_cells, triple, window), ctx
+        got = outcome(kernel_table_from_resolution, curve, triple.middle, window)
+        want = outcome(old_kernel_table, curve, triple.middle, window)
+        if got != want:
+            twists = range(window[0], window[1] + 1)
+            first = next(n for n in twists if outcome(old_ideal, curve, n)[0] == "raised")
+            assert want[2].startswith("kernel section count") and want[3] < first, ctx
+            assert got == outcome(old_ideal, curve, first), ctx
+        seen["estimate-" + estimate[0]] += 1
+        seen["ideal-first" if got != want else got[0]] += 1
+    assert min(seen.values()) >= 10 and len(seen) == 5, seen
+
+
+@pytest.mark.parametrize("window", [(0, 6), (-1, 8), (0, 200)])
+def test_resolve_chain_counts_the_curve_only_as_rows(monkeypatch, window):
+    """The E-type synthesis asks the ambient for one count, h0(O(1)), and
+    the audit and the mapping cone none: every curve count in them is read
+    off an ideal row, whatever the window."""
+    calls = []
+    h0 = Ambient.h0
+    monkeypatch.setattr(Ambient, "h0", lambda self, k: calls.append(k) or h0(self, k))
+    middle, _ = etype_candidates(C84, window)
+    assert (middle, calls) == (line_bundle(-2) + line_bundle(-3, 4), [1])
+    calls.clear()
+    assert resolution_consistency_check(ETYPE_84, window).ok
+    mapping_cone_n_from_e(ETYPE_40, (2, 3), window)
+    assert calls == []
 
 
 def test_generator_estimates():

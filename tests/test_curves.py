@@ -29,7 +29,6 @@ from quadliaison import (
     acm_embedding_obstruction,
     ambient_table,
     full_ideal_table,
-    ideal_h0,
     ideal_h0_table,
     klein_parity_check,
     nonspecial_threshold,
@@ -43,9 +42,9 @@ from quadliaison import (
     rr_chi,
     section_table,
 )
-from quadliaison import curves, h0_proj, h0_quadric3
+from quadliaison import h0_proj, h0_quadric3
 from quadliaison.cli import main
-from quadliaison.curves import MAX_WINDOW_TWISTS, curve_sections
+from quadliaison.curves import MAX_WINDOW_TWISTS
 
 C84_P4 = CurveClass(P4, 8, 4)
 C84_Q = CurveClass(QUADRIC3, 8, 4)
@@ -553,8 +552,8 @@ def test_tables_past_the_index_size_print_the_per_twist_values(rows, ambient, wi
             f"h{i}": [[n, cells[(i, n)]] for n in twists] for i in (3, 2, 1, 0)
         }
         return
-    per_twist = {"ambient": amb.h0, "section": lambda n: curve_sections(curve, n),
-                 "ideal": lambda n: ideal_h0(curve, n)}[rows]
+    per_twist = {"ambient": amb.h0, "section": lambda n: old_sections(curve, n),
+                 "ideal": lambda n: old_ideal(curve, n)}[rows]
     assert record["values"] == [[n, per_twist(n)] for n in twists]
 
 
@@ -574,8 +573,6 @@ def test_table_work_does_not_grow_with_the_window(monkeypatch):
 
     counting(Ambient, "h0")
     counting(Ambient, "h0_row")
-    counting(curves, "curve_sections")
-    counting(curves, "ideal_h0")
 
     def shape(window):
         calls.clear()

@@ -216,16 +216,26 @@ def test_mapping_cone_inconsistent_input():
 
 def test_mapping_cone_rank_c1_failure_with_every_cell_equal():
     """Below twist -30 every section count on both sides is 0, so the cell
-    audit passes and only the rank and c1 check can refuse the cone."""
-    wrong = ResolutionTriple(spinor(-1, 2), line_bundle(-2, 6), C40, ResolutionFlavor.E_TYPE)
+    audit passes and only the rank and c1 check can refuse the cone.  No
+    twist failed, so the error names none and carries (rank diff, c1 diff)
+    against the (1, 0) it wants."""
     window = (-30, -26)
-    with pytest.raises(MappingConeInconsistent) as info:
-        mapping_cone_n_from_e(wrong, (2, 3), window)
-    assert str(info.value) == "mapping cone output has rank diff 0 (want 1), c1 diff 3 (want 0)"
-    assert (info.value.twist, info.value.lhs, info.value.rhs) == (-30, 0, 1)
-    # the cone output: 6*O(2) and 2*E0(4) dualized, twisted by -5, plus O(-2) + O(-3)
-    out = ResolutionTriple(line_bundle(-3, 6), line_bundle(-2) + line_bundle(-3) + spinor(-1, 2),
-                           C84, ResolutionFlavor.N_TYPE)
-    report = resolution_consistency_check(out, window)
-    assert all(cell.lhs == cell.rhs == 0 for cell in report.cells)
-    assert (out.rank_diff, out.c1_diff) == (0, 3)
+    cases = [  # middle, the kernel of the cone output, (rank diff, c1 diff)
+        (line_bundle(-2, 6), line_bundle(-3, 6), (0, 3)),
+        (line_bundle(-1) + line_bundle(-2, 4), line_bundle(-3, 4) + line_bundle(-4), (1, 1)),
+    ]
+    for middle, cone_kernel, diffs in cases:
+        wrong = ResolutionTriple(spinor(-1, 2), middle, C40, ResolutionFlavor.E_TYPE)
+        with pytest.raises(MappingConeInconsistent) as info:
+            mapping_cone_n_from_e(wrong, (2, 3), window)
+        rank, c1 = diffs
+        assert str(info.value) == (
+            f"mapping cone output has rank diff {rank} (want 1), c1 diff {c1} (want 0)"
+        )
+        assert (info.value.twist, info.value.lhs, info.value.rhs) == (None, diffs, (1, 0))
+        # the cone output: the middle and 2*E0(4) dualized, twisted by -5, plus O(-2) + O(-3)
+        out = ResolutionTriple(cone_kernel, line_bundle(-2) + line_bundle(-3) + spinor(-1, 2),
+                               C84, ResolutionFlavor.N_TYPE)
+        report = resolution_consistency_check(out, window)
+        assert all(cell.lhs == cell.rhs == 0 for cell in report.cells)
+        assert (out.rank_diff, out.c1_diff) == diffs

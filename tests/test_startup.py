@@ -20,16 +20,17 @@ import quadliaison
 SRC = str(Path(__file__).parent.parent / "src")
 
 # What the package root re-exported when it imported every submodule eagerly,
-# less the two atom classes that sheaves no longer has and the one-line
-# wrappers zero_sheaf and all_ok.
+# less the two atom classes that sheaves no longer has, the one-line
+# wrappers zero_sheaf and all_ok, and the per-twist counts curve_sections and
+# ideal_h0, which leave curves only as rows.
 REEXPORTS = {
     "ambient": "P2 P3 P4 QUADRIC3 Ambient parse_ambient proj_space",
     "classify": "CANDIDATE_CAP DEFAULT_TWIST_BOUNDS MATCH_WINDOW GeneratorEstimate "
     "enumerate_rank4_candidates etype_candidates etype_middle generator_estimate "
     "kernel_table_from_resolution match_acm_kernel rank4_candidate_count",
     "curves": "DEFAULT_WINDOW CohomTable CurveClass Feasibility RegularityReport Window "
-    "acm_embedding_obstruction ambient_table curve_sections full_ideal_table ideal_h0 "
-    "ideal_h0_table klein_parity_check nonspecial_threshold parse_window plane_genus "
+    "acm_embedding_obstruction ambient_table full_ideal_table ideal_h0_table "
+    "klein_parity_check nonspecial_threshold parse_window plane_genus "
     "quadric_surface_genus_spectrum regularity render_value_csv render_value_row rr_chi "
     "section_table",
     "errors": "InconsistencyError InfeasibleError MappingConeInconsistent "
