@@ -89,8 +89,10 @@ def match_acm_kernel(
     t + n >= 0, E0(t) needs t + n >= 2 and every t is at most twist_hi.
     So a target that is nonzero there matches nothing, and otherwise only
     the twists from max(lo, -twist_hi) up are compared, from the top twist
-    down, where counts separate candidates best.  Each twist n counts
-    h0(O(t + n)) and h0(E0(t + n)) once per bounds twist t (``_pair_counts``).
+    down, where counts separate candidates best, and matching stops once no
+    candidate is left.  Each compared twist n counts h0(O(t + n)) and
+    h0(E0(t + n)) once per bounds twist t (``_pair_counts``), and a
+    candidate's count sums only the atom kinds it has.
     """
     lo, hi = window
     if hi - lo + 1 < 5:
@@ -102,9 +104,13 @@ def match_acm_kernel(
     if any(target[n] for n in range(lo, min(hi + 1, -twist_hi))):
         return []
     for n in range(hi, max(lo, -twist_hi) - 1, -1):
+        if not candidates:
+            break
         line_of, spinor_of = _pair_counts(twist_lo, twist_hi, n)
-        candidates = [cand for cand in candidates if target[n] == sum(map(line_of, cand.lines))
-                      + sum(map(spinor_of, cand.spinors))]
+        want = target[n]
+        candidates = [cand for cand in candidates if want == (
+            (sum(map(line_of, cand.lines)) if cand.lines else 0)
+            + (sum(map(spinor_of, cand.spinors)) if cand.spinors else 0))]
     return candidates
 
 
@@ -150,7 +156,9 @@ def generator_estimate(curve: CurveClass) -> GeneratorEstimate:
     if report.regularity is None:
         raise ValueError(f"the generator estimate's fixed window {lo}:{hi} does not certify"
                          " a regularity bound; --window does not change it")
-    ideal = table.rows[0][-lo:]  # h0(I_C(k)) for k = 0..hi, and regularity <= hi
+    ideal = table.rows[0][-lo:]  # h0(I_C(k)) for k = 0..hi
+    if report.regularity > hi:  # the last diagonal certifies hi + 1
+        ideal.append(ideal_h0_table(curve, (hi + 1, hi + 1))[hi + 1])
     linear = curve.ambient.h0(1)
     counts: dict[int, int] = {}
     for k in range(1, report.regularity + 1):

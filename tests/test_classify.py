@@ -304,7 +304,8 @@ def test_match_compares_from_the_top_twist(counts, target):
     each compared twist n, the window's top twist first, it counts
     h0(O(t + n)) and then h0(E0(t + n)) once for each of the w twists t of
     the bounds, and reads every candidate's count off those two rows: at
-    most 2 * w atom counts per twist, against up to 4 per candidate before."""
+    most 2 * w atom counts per twist, against up to 4 per candidate before.
+    Matching stops once no candidate is left."""
     enumerate_rank4_candidates()
     got = match_acm_kernel(target)
     assert counts["sums"] == []
@@ -314,6 +315,24 @@ def test_match_compares_from_the_top_twist(counts, target):
     assert len(counts["atoms"]) <= 2 * width * (hi - lo + 1)
     assert counts["atoms"][:2 * width] == [*range(twist_lo + hi, twist_hi + hi + 1)] * 2
     assert got == filter_match(target, MATCH_WINDOW, *DEFAULT_TWIST_BOUNDS)
+
+
+@pytest.mark.parametrize("top, compared", [(81, 1), (79, 2), (80, 7)])
+def test_match_stops_once_no_candidate_is_left(counts, top, compared):
+    """KERNEL_84 with its twist-6 count raised to 81 fits no candidate at the
+    top twist, so matching counts only that twist's two rows, 2 * w atoms;
+    at 79 two candidates are left there and none after twist 5; the true
+    count, 80, keeps 2*E0(-2) through the whole window."""
+    enumerate_rank4_candidates()
+    target = {**KERNEL_84, 6: top}
+    got = match_acm_kernel(target)
+    assert counts["sums"] == []
+    twist_lo, twist_hi = DEFAULT_TWIST_BOUNDS
+    hi = MATCH_WINDOW[1]
+    assert counts["atoms"] == [k + n for n in range(hi, hi - compared, -1)
+                               for _ in "OE" for k in range(twist_lo, twist_hi + 1)]
+    assert got == filter_match(target, MATCH_WINDOW, *DEFAULT_TWIST_BOUNDS)
+    assert got == ([spinor(-2, 2)] if top == 80 else [])
 
 
 def test_kernel_table_from_resolution():
@@ -396,17 +415,21 @@ def random_sum(rng, rank):
 
 
 def test_resolve_chain_agrees_with_the_twist_at_a_time_oracle():
-    """On seeded Q classes with d <= 300 and g <= 3d, random middles and
-    kernels and windows in -4..70, the generator estimate, the audit and
-    the kernel table give what the per-twist oracle gives, value or error.
-    The one exception: the kernel table builds the ideal row first, so where
-    the oracle stops at a negative kernel count before the window's first
-    negative ideal count, it raises that ideal count instead."""
+    """On seeded Q classes with d <= 300 and g <= 3d, and one draw in four
+    with d >= 2 and 3d < g < 4d, where the window -1:8 can certify
+    regularity 9, random middles and kernels and windows in -4..70, the
+    generator estimate, the audit and the kernel table give what the
+    per-twist oracle gives, value or error.  The one exception: the kernel
+    table builds the ideal row first, so where the oracle stops at a
+    negative kernel count before the window's first negative ideal count,
+    it raises that ideal count instead."""
     rng = random.Random(15)
     seen = Counter()
-    for _ in range(1000):
+    for i in range(1250):
         d = rng.randint(1, 12) if rng.random() < 0.7 else rng.randint(1, 300)
-        curve = CurveClass(QUADRIC3, d, rng.randint(0, 3 * d))
+        high = i % 4 == 3 and d > 1
+        curve = CurveClass(QUADRIC3, d, rng.randint(3 * d + 1, 4 * d - 1) if high
+                           else rng.randint(0, 3 * d))
         lo = rng.randint(-4, 70)
         window = (lo, rng.randint(lo - 1, 70))
         triple = ResolutionTriple(random_sum(rng, 4), random_sum(rng, 5), curve,
@@ -425,7 +448,8 @@ def test_resolve_chain_agrees_with_the_twist_at_a_time_oracle():
             assert got == outcome(old_ideal, curve, first), ctx
         seen["estimate-" + estimate[0]] += 1
         seen["ideal-first" if got != want else got[0]] += 1
-    assert min(seen.values()) >= 10 and len(seen) == 5, seen
+        seen["regularity-9"] += estimate[0] == "value" and estimate[1].regularity == 9
+    assert min(seen.values()) >= 10 and len(seen) == 6, seen
 
 
 @pytest.mark.parametrize("window", [(0, 6), (-1, 8), (0, 200)])
@@ -451,6 +475,11 @@ def test_generator_estimates():
     assert got.assumes_injective_multiplication
     assert generator_estimate(C40).counts == {2: 5}
     assert generator_estimate(CurveClass(P4, 8, 4)).counts == {2: 2, 3: 4}
+    # the fixed window -1:8 certifies regularity 9 from its last diagonal,
+    # and the estimate then counts h0(I_C(9)) as well
+    for d, g, fresh in [(2, 7, 9), (7, 22, 19)]:
+        got = generator_estimate(CurveClass(QUADRIC3, d, g))
+        assert (got.counts, got.regularity) == ({1: fresh}, 9)
 
 
 def test_generator_estimate_conic():

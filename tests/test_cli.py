@@ -233,6 +233,29 @@ def test_resolve_ambiguous_kernel_exits_3(capsys):
     assert "inconsistent:" in err
 
 
+@pytest.mark.parametrize("d, g", [(2, 7), (7, 22)])
+def test_resolve_with_regularity_one_past_the_window_exits_3(capsys, d, g):
+    """The fixed window -1:8 certifies regularity 9 for these classes, so the
+    generator estimate counts one twist past it; then no kernel fits."""
+    code, out, err = run(
+        capsys, "resolve", "--ambient", "q", "-d", str(d), "-g", str(g), "--etype",
+    )
+    assert (code, out) == (EXIT_INCONSISTENT, "")
+    assert err == (f"kernel match for ({d},{g}) in quadric3 is not unique: 0 candidates\n"
+                   "inconsistent: ambiguous kernel classification\n")
+
+
+def test_resolve_exit_codes_over_the_class_grid(capsys):
+    """Every Q class with d <= 20 and 0 <= g < 4d, E-type and N-type via
+    (2,3), ends in a documented exit code with no exception escaping."""
+    codes = {EXIT_OK, EXIT_USAGE, EXIT_INFEASIBLE, EXIT_INCONSISTENT}
+    for d in range(1, 21):
+        for g in range(4 * d):
+            for flavor in (["--etype"], ["--ntype", "--via", "2,3"]):
+                argv = ["resolve", "--ambient", "q", "-d", str(d), "-g", str(g), *flavor]
+                assert run(capsys, *argv)[0] in codes, argv
+
+
 def test_verify_golden_and_exit(capsys):
     code, out, _ = run(capsys, "verify")
     assert code == EXIT_OK
