@@ -74,14 +74,16 @@ class _Run:
     """One command invocation: CLI flags backed by scenario-file defaults."""
 
     def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.scenario = load_scenario(args.scenario) if args.scenario else {}
+        self.args, self.scenario = args, {}
+        path = self.get("scenario")  # the flag alone: no scenario is loaded yet
+        if path:
+            self.scenario = load_scenario(path)
 
     def get(self, key: str, default: str | None = None) -> str | None:
         flag = getattr(self.args, key, None)
-        if flag is not None:
-            return flag if isinstance(flag, str) else str(flag)
-        return self.scenario.get(key, default)
+        if flag == []:  # argparse 3.11 stores --flag=-- as []
+            return "--"
+        return self.scenario.get(key, default) if flag is None else flag
 
     def require(self, key: str) -> str:
         value = self.get(key)
@@ -312,22 +314,42 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if all(r.ok for r in results) else EXIT_INCONSISTENT
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    common.add_argument(
-        "--format", choices=("text", "csv", "json"), default=None,
-        help="output format (default text)",
-    )
-    common.add_argument(
-        "--window", default=None, metavar="LO:HI",
-        help="inclusive twist window (default -1:8, or QL_WINDOW); "
+# Each flag by destination: its spellings, the metavar of its value in
+# help (None for a switch), and its help.  argparse only splits argv; _Run
+# checks every value, whether a flag or a scenario file gave it.
+_FLAGS = {
+    "format": (("--format",), "{text,csv,json}", "output format (default text)"),
+    "window": (
+        ("--window",), "LO:HI",
+        "inclusive twist window (default -1:8, or QL_WINDOW); "
         "write --window=-1:4 when LO is negative",
-    )
-    common.add_argument(
-        "--scenario", default=None, metavar="FILE",
-        help="key=value defaults; flags override",
-    )
+    ),
+    "scenario": (("--scenario",), "FILE", "key=value defaults; flags override"),
+    "ambient": (("--ambient",), "AMBIENT", "p2, p3, p4, ... or quadric3"),
+    "degree": (("-d", "--degree"), "DEGREE", None),
+    "genus": (("-g", "--genus"), "GENUS", None),
+    "rows": (("--rows",), "{full,ideal,section,ambient}", "which table to print (default full)"),
+    "ci": (("--ci",), "D1,D2,...", "hypersurface degrees of the complete intersection"),
+    "etype": (("--etype",), None, "E-type resolution"),
+    "ntype": (("--ntype",), None, "N-type via a linkage"),
+    "via": (("--via",), "A,B", "divisor twists of the linking intersection (N-type)"),
+}
 
+# Each command: its handler, its help, its flags in help order ("a|b" for a
+# mutually exclusive pair), and the help it gives a flag in place of _FLAGS'.
+_COMMANDS = {
+    "table": (cmd_table, "print cohomology tables for a curve class",
+              "format window scenario ambient degree genus rows", {}),
+    "link": (cmd_link, "residual degree and genus across a linkage",
+             "format window scenario degree genus ci", {}),
+    "resolve": (cmd_resolve, "synthesize and check a resolution",
+                "format window scenario ambient degree genus etype|ntype via",
+                {"ambient": "must be quadric3"}),
+    "verify": (cmd_verify, "run the reference-check suite", "format window scenario", {}),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="ql",
         description=(
@@ -337,50 +359,16 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    table = sub.add_parser(
-        "table", parents=[common], help="print cohomology tables for a curve class"
-    )
-    table.add_argument("--ambient", default=None, help="p2, p3, p4, ... or quadric3")
-    table.add_argument("-d", "--degree", type=int, default=None)
-    table.add_argument("-g", "--genus", type=int, default=None)
-    table.add_argument(
-        "--rows", choices=("full", "ideal", "section", "ambient"), default=None,
-        help="which table to print (default full)",
-    )
-    table.set_defaults(func=cmd_table)
-
-    link = sub.add_parser(
-        "link", parents=[common], help="residual degree and genus across a linkage"
-    )
-    link.add_argument("-d", "--degree", type=int, default=None)
-    link.add_argument("-g", "--genus", type=int, default=None)
-    link.add_argument(
-        "--ci", default=None, metavar="D1,D2,...",
-        help="hypersurface degrees of the complete intersection",
-    )
-    link.set_defaults(func=cmd_link)
-
-    resolve = sub.add_parser(
-        "resolve", parents=[common], help="synthesize and check a resolution"
-    )
-    resolve.add_argument("--ambient", default=None, help="must be quadric3")
-    resolve.add_argument("-d", "--degree", type=int, default=None)
-    resolve.add_argument("-g", "--genus", type=int, default=None)
-    flavor = resolve.add_mutually_exclusive_group()
-    flavor.add_argument("--etype", action="store_true", help="E-type resolution")
-    flavor.add_argument("--ntype", action="store_true", help="N-type via a linkage")
-    resolve.add_argument(
-        "--via", default=None, metavar="A,B",
-        help="divisor twists of the linking intersection (N-type)",
-    )
-    resolve.set_defaults(func=cmd_resolve)
-
-    verify = sub.add_parser(
-        "verify", parents=[common], help="run the reference-check suite"
-    )
-    verify.set_defaults(func=cmd_verify)
-
+    for command, (func, help_text, flags, helps) in _COMMANDS.items():
+        cmd = sub.add_parser(command, help=help_text)
+        for item in flags.split():
+            names = item.split("|")
+            group = cmd.add_mutually_exclusive_group() if len(names) > 1 else cmd
+            for dest in names:
+                spellings, metavar, text = _FLAGS[dest]
+                kind = {"action": "store_true"} if metavar is None else {"metavar": metavar}
+                group.add_argument(*spellings, dest=dest, help=helps.get(dest, text), **kind)
+        cmd.set_defaults(func=func)
     return parser
 
 

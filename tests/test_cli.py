@@ -317,6 +317,40 @@ def test_bad_format_exits_1(capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("key, flag, value, message", [
+    ("degree", "-d", "x", "degree must be an integer, got 'x'"),
+    ("genus", "-g", "1.5", "genus must be an integer, got '1.5'"),
+    ("rows", "--rows", "diagonal", "unknown rows selection 'diagonal'"),
+    ("format", "--format", "yaml", "unknown format 'yaml'"),
+], ids=["degree", "genus", "rows", "format"])
+def test_a_bad_value_gets_one_message_from_a_flag_or_a_scenario(
+    key, flag, value, message, tmp_path, capsys
+):
+    path = tmp_path / "bad.ql"
+    path.write_text(f"{key}={value}\n")
+    good = [part for pair in (("-d", "8"), ("-g", "4")) if pair[0] != flag for part in pair]
+    argv = ["table", "--ambient", "q", *good]
+    from_flag = run(capsys, *argv, flag, value)
+    from_scenario = run(capsys, *argv, "--scenario", str(path))
+    assert from_flag == from_scenario == (EXIT_USAGE, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["link", "--degree=--", "-g", "4", "--ci", "2,2,3"],
+     "degree must be an integer, got '--'"),
+    (["table", "--ambient=--", "-d", "8", "-g", "4"],
+     "unknown ambient '--' (expected p<n> or quadric3)"),
+    (["table", "--ambient", "q", "-d", "8", "-g", "4", "--window=--"],
+     "window must be lo:hi, got '--'"),
+    (["link", "-d", "8", "-g", "4", "--ci=--"],
+     "ci must be comma-separated integers, got '--'"),
+    (["resolve", "--ambient", "q", "-d", "8", "-g", "4", "--ntype", "--via=--"],
+     "via must be comma-separated integers, got '--'"),
+], ids=["degree", "ambient", "window", "ci", "via"])
+def test_a_flag_value_of_double_dash_is_reported_as_typed(argv, message, capsys):
+    assert run(capsys, *argv) == (EXIT_USAGE, "", f"error: {message}\n")
+
+
 def test_bad_window_exits_1(capsys):
     code, _, err = run(
         capsys, "table", "--ambient", "q", "-d", "8", "-g", "4",
