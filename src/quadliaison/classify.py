@@ -152,13 +152,11 @@ class GeneratorEstimate(NamedTuple):
 def generator_estimate(curve: CurveClass) -> GeneratorEstimate:
     table = full_ideal_table(curve, DEFAULT_WINDOW)
     report = regularity(table)
-    lo, hi = DEFAULT_WINDOW
     if report.regularity is None:
+        lo, hi = DEFAULT_WINDOW
         raise ValueError(f"the generator estimate's fixed window {lo}:{hi} does not certify"
                          " a regularity bound; --window does not change it")
-    ideal = table.rows[0][-lo:]  # h0(I_C(k)) for k = 0..hi
-    if report.regularity > hi:  # the last diagonal certifies hi + 1
-        ideal.append(ideal_h0_table(curve, (hi + 1, hi + 1))[hi + 1])
+    ideal = ideal_h0_table(curve, (0, report.regularity))
     linear = curve.ambient.h0(1)
     counts: dict[int, int] = {}
     for k in range(1, report.regularity + 1):

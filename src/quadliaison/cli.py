@@ -76,7 +76,7 @@ class _Run:
     def __init__(self, args: argparse.Namespace):
         self.args, self.scenario = args, {}
         path = self.get("scenario")  # the flag alone: no scenario is loaded yet
-        if path:
+        if path is not None:  # an empty --scenario= names no file: exit 1, as --window= does
             self.scenario = load_scenario(path)
 
     def get(self, key: str, default: str | None = None) -> str | None:

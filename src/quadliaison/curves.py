@@ -102,24 +102,12 @@ def _section_row(curve: CurveClass, lo: int, hi: int) -> list[int]:
 
 
 def _ideal_row(curve: CurveClass, lo: int, hi: int) -> list[int]:
-    """h0(I_C(n)) for n = lo..hi; raises at the first negative twist.
-
-    A count can only be negative at 1 <= n <= 2d (past 2d the ambient
-    count outgrows the sections, see acm_embedding_obstruction), so that
-    part of the window is built and checked first.
-    """
-    cut = min(hi, 2 * curve.degree)
-    row = _difference_row(curve, lo, cut)
+    """h0(I_C(n)) for n = lo..hi; raises at the first negative twist."""
+    row = list(map(sub, curve.ambient.h0_row(lo, hi), _section_row(curve, lo, hi)))
     if min(row, default=0) < 0:
         first = next(i for i, value in enumerate(row) if value < 0)
         raise NegativeDimension(lo + first, row[first])
-    if cut < hi:
-        row += _difference_row(curve, max(lo, cut + 1), hi)
     return row
-
-
-def _difference_row(curve: CurveClass, lo: int, hi: int) -> list[int]:
-    return list(map(sub, curve.ambient.h0_row(lo, hi), _section_row(curve, lo, hi)))
 
 
 def ideal_h0_table(curve: CurveClass, window: Window = DEFAULT_WINDOW) -> dict[int, int]:
@@ -168,16 +156,8 @@ class CohomTable(NamedTuple):
         return list(map(str, range(self.window[0], self.window[1] + 1))), rows
 
     def render_grid(self) -> str:
-        """Zero tails are one padded piece: a twist prints a digit, so zeros widen no column."""
         twists, rows = self._text_rows()
-        widths = list(map(len, twists))
-        for row in rows:  # len(c.rjust(w)) is max(len(c), w)
-            widths[:len(row)] = map(len, map(str.rjust, row, widths))
-        pad = [w + 2 for w in widths]
-        zeros, cut = "".join(map("  0".rjust, pad)), list(accumulate(pad, initial=0))
-        lines = [h + "".join(map(str.rjust, r, pad)) + zeros[cut[len(r)]:]
-                 for h, r in zip([" n:", *(f"h{i}:" for i in _GRID_ROWS)], [twists, *rows])]
-        return "\n".join(lines) + "\n"
+        return _grid([" n:", *(f"h{i}:" for i in _GRID_ROWS)], [twists, *rows])
 
     def render_csv(self) -> str:
         """``i,n,value`` lines, h3 first; each row's zero tail is one join."""
@@ -190,9 +170,20 @@ class CohomTable(NamedTuple):
         return _csv("i,n,value", lines)
 
 
-def _align_columns(rows: list[list[str]]) -> str:
-    widths = list(map(max, *(map(len, row) for row in rows)))
-    return "\n".join(["  ".join(map(str.rjust, row, widths)) for row in rows]) + "\n"
+def _grid(labels: list[str], rows: list[list[str]]) -> str:
+    """A label column, then each cell right-aligned to its column's widest
+    entry plus two spaces.  rows[0] spans every column; a shorter row ends in
+    zeros, printed as one padded piece: a twist prints a digit, so zeros
+    widen no column."""
+    widths = list(map(len, rows[0]))
+    for row in rows[1:]:  # len(c.rjust(w)) is max(len(c), w)
+        widths[:len(row)] = map(len, map(str.rjust, row, widths))
+    pad = [w + 2 for w in widths]
+    short = min(map(len, rows))  # the zeros start no earlier than this column
+    zeros, cut = "".join(map("  0".rjust, pad[short:])), list(accumulate(pad[short:], initial=0))
+    lines = [h + "".join(map(str.rjust, r, pad)) + zeros[cut[len(r) - short]:]
+             for h, r in zip(labels, rows)]
+    return "\n".join(lines) + "\n"
 
 
 def _csv(header: str, lines: list[str]) -> str:
@@ -202,10 +193,8 @@ def _csv(header: str, lines: list[str]) -> str:
 def render_value_row(values: dict[int, int]) -> str:
     """One-row grid for a map twist -> count."""
     twists = sorted(values)
-    return _align_columns([
-        [" n:", *map(str, twists)],
-        ["h0:", *map(str, map(values.__getitem__, twists))],
-    ])
+    counts = list(map(str, map(values.__getitem__, twists)))
+    return _grid([" n:", "h0:"], [list(map(str, twists)), counts])
 
 
 def render_value_csv(values: dict[int, int]) -> str:

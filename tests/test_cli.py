@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from quadliaison import verify
 from quadliaison.cli import (
     EXIT_INCONSISTENT,
     EXIT_INFEASIBLE,
@@ -24,6 +25,7 @@ from quadliaison.cli import (
 )
 from quadliaison.curves import MAX_WINDOW_TWISTS
 from quadliaison.hilbert import h0_proj
+from quadliaison.sheaves import line_bundle, spinor
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -266,6 +268,28 @@ def test_verify_csv_golden(capsys):
     code, out, _ = run(capsys, "verify", "--format", "csv")
     assert code == EXIT_OK
     assert out == golden("verify.csv")
+
+
+@pytest.mark.parametrize("kernel, middle, audit", [
+    (line_bundle(-3, 5), line_bundle(-2) + line_bundle(-3) + spinor(-1, 2),
+     "consistency PASS over n in [0,6] (rank diff 1, c1 diff 0)"),
+    (line_bundle(-5, 5), line_bundle(-2) + line_bundle(-3) + spinor(-3, 2),
+     "consistency FAIL at n=3: 6 != 9"),
+], ids=["passes", "fails-at-3"])
+def test_verify_fails_when_the_documented_discrepancy_changes_shape(
+    kernel, middle, audit, monkeypatch, capsys
+):
+    """The EXPECTED-DISCREPANCY holds only for the published twists'
+    failure at n=2 (0 != 1): a printed triple that passes the audit, or
+    fails it at another cell, is a FAIL, and ql verify exits 3."""
+    printed = verify.PRINTED_NTYPE_84._replace(kernel=kernel, middle=middle)
+    monkeypatch.setattr(verify, "PRINTED_NTYPE_84", printed)
+    code, out, _ = run(capsys, "verify")
+    assert code == EXIT_INCONSISTENT
+    line = next(line for line in out.splitlines() if "ntype-printed-twists" in line)
+    detail = "documented discrepancy changed shape: " + audit
+    assert line == f"{'FAIL':<21}  ntype-printed-twists: {detail}"
+    assert out.endswith("40 checks: 39 pass, 0 expected-discrepancy, 1 fail\n")
 
 
 def run_module(module, *argv):
@@ -598,6 +622,15 @@ def test_empty_window_is_a_usage_error(source, monkeypatch, tmp_path, capsys):
     monkeypatch.setenv("QL_WINDOW", "")
     code, out, _ = run(capsys, "table", "--ambient", "q", "-d", "8", "-g", "4", "--rows", "ideal")
     assert (code, out.split()[1]) == (EXIT_OK, "-1")
+
+
+def test_empty_scenario_is_a_usage_error(capsys):
+    """An empty --scenario= names no file: it exits 1 with nothing on
+    stdout, as an empty --window= does, instead of loading no defaults."""
+    code, out, err = run(capsys, "table", "--ambient", "q", "-d", "8", "-g", "4",
+                         "--rows", "ideal", "--window", "0:2", "--scenario=")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: [Errno 2] No such file or directory: ''\n"
 
 
 def test_app_raises_systemexit(monkeypatch, capsys):

@@ -350,6 +350,15 @@ def test_nonspecial_threshold_matches_scan_on_random_classes():
         assert nonspecial_threshold(d, g) == brute_threshold(d, g), (d, g)
 
 
+@pytest.mark.parametrize("degree", [0, -1])
+@pytest.mark.parametrize("count", [
+    lambda d: nonspecial_threshold(d, 0), plane_genus, quadric_surface_genus_spectrum,
+], ids=["nonspecial_threshold", "plane_genus", "quadric_surface_genus_spectrum"])
+def test_genus_formulas_refuse_a_degree_below_1(count, degree):
+    with pytest.raises(ValueError, match="^degree must be positive$"):
+        count(degree)
+
+
 def test_plane_genus():
     assert plane_genus(8) == 21
     assert plane_genus(1) == 0
@@ -474,6 +483,11 @@ def test_row_tables_and_renderers_match_the_twist_at_a_time_code():
                 checked += 1
     # the draws reach both outcomes often
     assert checked > 300 and witnesses > 50, (checked, witnesses)
+    # a section row with negative counts, as ql table --rows section prints it
+    sections = section_table(CurveClass(QUADRIC3, 12, 2_000_000), (0, 3))
+    assert list(sections.values()) == [1, -1999987, -1999975, -1999963]
+    assert render_value_row(sections) == old_value_row(sections)
+    assert render_value_row(sections).splitlines()[1] == "h0:  1  -1999987  -1999975  -1999963"
 
 
 def test_directly_built_tables_render_like_the_old_renderers():
@@ -503,7 +517,8 @@ def test_directly_built_tables_render_like_the_old_renderers():
         assert regularity(table) == old_regularity(window, cells)
         assert table.render_grid() == old_grid(window, cells)
         assert table.render_csv() == old_csv(window, cells)
-        values = {n: rng.randint(0, 10**12) for n in rng.sample(range(-50, 50), rng.randint(0, 12))}
+        values = {n: rng.randint(-10**12, 10**12)
+                  for n in rng.sample(range(-50, 50), rng.randint(0, 12))}
         assert render_value_row(values) == old_value_row(values)
         assert render_value_csv(values) == old_value_csv(values)
     # zero tails, which the renderers print as one piece, in every place they can start
@@ -588,8 +603,7 @@ def test_table_work_does_not_grow_with_the_window(monkeypatch):
             render_value_csv(ambient_table(ambient, window))
         return sorted(calls)
 
-    # each wide window against a narrow one on the same side of n = 2d = 16,
-    # past which the ideal row is built as a second piece
+    # each wide window against a narrow one, on both sides of n = 0
     pairs = (((0, 29), (0, MAX_WINDOW_TWISTS - 1)), ((-9, 0), (1 - MAX_WINDOW_TWISTS, 0)))
     for narrow, wide in pairs:
         assert shape(wide) == shape(narrow)

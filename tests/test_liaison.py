@@ -239,3 +239,6 @@ def test_mapping_cone_rank_c1_failure_with_every_cell_equal():
         report = resolution_consistency_check(out, window)
         assert all(cell.lhs == cell.rhs == 0 for cell in report.cells)
         assert (out.rank_diff, out.c1_diff) == diffs
+        assert report.render_text() == (
+            f"consistency FAIL: rank diff {rank} (want 1), c1 diff {c1} (want 0)"
+        )
