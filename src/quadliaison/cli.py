@@ -8,7 +8,8 @@ reference-check suite).
 Exit codes: 0 success, 1 usage error, 2 mathematical infeasibility,
 3 internal inconsistency.  Output is byte-deterministic for fixed
 arguments.  The environment variable QL_WINDOW (``lo:hi``) sets the
-default twist window; a scenario file sets per-run defaults; flags win.
+default twist window of ``table`` and ``resolve``, the two commands that
+read one; a scenario file sets per-run defaults; flags win.
 
 Commands import what they use beyond ambient, curves and errors when they
 run: ``table`` loads no other module, and only ``verify`` loads the suite.
@@ -177,6 +178,9 @@ def cmd_table(args: argparse.Namespace) -> int:
     rows = run.get("rows", "full")
     curve = None if rows == "ambient" else run.curve()
     ambient = run.ambient() if curve is None else curve.ambient
+    for key in ("degree", "genus") if curve is None else ():  # checked, though no curve is built
+        if run.get(key) is not None:
+            run.int_of(key)
     # full_ideal_table refuses ambients below dimension 3 before any count
     if rows in ("ambient", "ideal") or rows == "full" and ambient.dim >= 3:
         _stop_at_unprintable(run, ambient, curve, window)
@@ -341,11 +345,11 @@ _COMMANDS = {
     "table": (cmd_table, "print cohomology tables for a curve class",
               "format window scenario ambient degree genus rows", {}),
     "link": (cmd_link, "residual degree and genus across a linkage",
-             "format window scenario degree genus ci", {}),
+             "format scenario degree genus ci", {}),
     "resolve": (cmd_resolve, "synthesize and check a resolution",
                 "format window scenario ambient degree genus etype|ntype via",
                 {"ambient": "must be quadric3"}),
-    "verify": (cmd_verify, "run the reference-check suite", "format window scenario", {}),
+    "verify": (cmd_verify, "run the reference-check suite", "format scenario", {}),
 }
 
 

@@ -9,8 +9,8 @@ quadric.  Python integers are unbounded, so there is no overflow regime.
 from __future__ import annotations
 
 import math
-from itertools import repeat
-from operator import sub
+from itertools import accumulate, repeat
+from operator import mul
 
 #: rank of the indecomposable rank-2 ACM bundle E0 on the quadric threefold
 SPINOR_RANK = 2
@@ -62,12 +62,13 @@ def h0_quadric3(k: int) -> int:
 
 
 def h0_quadric3_row(lo: int, hi: int) -> list[int]:
-    """``h0_quadric3(k)`` for k = lo..hi: the row of C(k+4, 4) minus that of C(k+2, 4)."""
+    """``h0_quadric3(k)`` for k = lo..hi, summing its steps h0(k) - h0(k - 1) = (k + 1)^2."""
     row = [0] * max(0, min(hi, -1) - lo + 1)
-    if hi >= 0:
-        start = max(lo, 0)
-        row += map(sub, map(math.comb, range(start + 4, hi + 5), repeat(4)),
-                   map(math.comb, range(start + 2, hi + 3), repeat(4)))
+    start = max(lo, 0)
+    if hi >= start:
+        first = (start + 1) * (start + 2) * (2 * start + 3) // 6  # the squares 1..start + 1
+        roots = range(start + 2, hi + 2)
+        row += accumulate(map(mul, roots, roots), initial=first)
     return row
 
 

@@ -4,16 +4,19 @@ Commands run in process through main(argv) so the whole file stays fast;
 golden files under tests/golden/ pin the exact bytes each command prints.
 """
 
+import argparse
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from quadliaison import verify
+from quadliaison import cli, verify
 from quadliaison.cli import (
     EXIT_INCONSISTENT,
     EXIT_INFEASIBLE,
@@ -319,6 +322,45 @@ def test_verify_output_is_deterministic(capsys):
     _, first, _ = run(capsys, "verify")
     _, second, _ = run(capsys, "verify")
     assert first == second
+
+
+def readme_commands() -> list[list[str]]:
+    """The argv of each ``ql`` line in the README's CLI block."""
+    section = (Path(__file__).parent.parent / "README.md").read_text().split("\n## CLI\n", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("ql ")]
+
+
+def test_every_flag_a_command_lists_is_read(capsys, monkeypatch):
+    """A flag that a command offers but never reads passes any value
+    unchecked.  Each command's parsed namespace records every name read
+    from it, through ``_Run.get`` or directly (resolve's ``etype|ntype``),
+    over the README commands, each --rows, and each --format of every
+    README command; each flag a command lists must be read by one argv."""
+    commands = cli._COMMANDS
+    read = {command: set() for command in commands}
+
+    def recording(command, func):
+        class Recorded(argparse.Namespace):
+            def __getattribute__(self, name):
+                read[command].add(name)
+                return super().__getattribute__(name)
+
+        return lambda args: func(Recorded(**vars(args)))
+
+    monkeypatch.setattr(cli, "_COMMANDS", {
+        command: (recording(command, func), *rest) for command, (func, *rest) in commands.items()
+    })
+    argv_set = readme_commands()
+    argv_set += [[*argv, "--format", fmt] for argv in argv_set for fmt in ("text", "csv", "json")]
+    argv_set += [["table", "--ambient", "q", "-d", "8", "-g", "4", "--rows", rows]
+                 for rows in ("full", "ideal", "section", "ambient")]
+    assert {argv[0] for argv in argv_set} == set(commands)
+    for argv in argv_set:
+        assert run(capsys, *argv)[0] in (EXIT_OK, EXIT_USAGE), argv
+    for command, (_, _, flags, _) in commands.items():
+        listed = set(flags.replace("|", " ").split())
+        assert listed <= read[command], (command, listed - read[command])
 
 
 def test_unknown_command_exits_1(capsys):

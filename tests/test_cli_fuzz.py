@@ -45,6 +45,8 @@ GRAMMAR = {
     "verify": {},
     "bogus": {},
 }
+# the commands that read a twist window; only they get --window
+WINDOWED = ("table", "resolve")
 
 SCENARIOS = {
     "good": "ambient=q\ndegree=8\ngenus=4\n# comment\n\nflavor=etype\n",
@@ -82,7 +84,8 @@ def draw(rng: random.Random, scenarios: list[str]) -> list[str]:
     floor = -10 if command == "resolve" else -10**12
     pools = {"--format": FORMATS, **GRAMMAR[command]}
     argv = [command]
-    flags = [("--format", 0.3), ("--window", 0.3), ("--scenario", 0.15)]
+    window = [("--window", 0.3)] if command in WINDOWED else []
+    flags = [("--format", 0.3), *window, ("--scenario", 0.15)]
     for name, chance in flags + [(f, 0.97) for f in GRAMMAR[command]]:
         if rng.random() >= chance:
             continue

@@ -2,8 +2,9 @@
 
 ``reference_parser`` is the ``build_parser`` that declared every flag by
 hand, with ``type=int`` on -d/-g and ``choices`` on --format/--rows, kept
-verbatim as the oracle.  ``cli.build_parser`` builds the same commands from
-one table and leaves every value check to the commands, so:
+as the oracle; it offers --window to table and resolve only, the two
+commands that read a window.  ``cli.build_parser`` builds the same commands
+from one table and leaves every value check to the commands, so:
 
 - the help and usage of ``ql`` and of each command are the same text;
 - on the fuzz grammar and a few hand-picked argv, both parsers exit alike or
@@ -33,20 +34,26 @@ from quadliaison.cli import (
 
 
 def reference_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    common.add_argument(
-        "--format", choices=("text", "csv", "json"), default=None,
-        help="output format (default text)",
-    )
-    common.add_argument(
-        "--window", default=None, metavar="LO:HI",
-        help="inclusive twist window (default -1:8, or QL_WINDOW); "
-        "write --window=-1:4 when LO is negative",
-    )
-    common.add_argument(
-        "--scenario", default=None, metavar="FILE",
-        help="key=value defaults; flags override",
-    )
+    def common(window: bool) -> _Parser:
+        parent = _Parser(add_help=False)
+        parent.add_argument(
+            "--format", choices=("text", "csv", "json"), default=None,
+            help="output format (default text)",
+        )
+        if window:
+            parent.add_argument(
+                "--window", default=None, metavar="LO:HI",
+                help="inclusive twist window (default -1:8, or QL_WINDOW); "
+                "write --window=-1:4 when LO is negative",
+            )
+        parent.add_argument(
+            "--scenario", default=None, metavar="FILE",
+            help="key=value defaults; flags override",
+        )
+        return parent
+
+    # link and verify read no window, so they take no --window
+    windowed, unwindowed = common(window=True), common(window=False)
 
     parser = _Parser(
         prog="ql",
@@ -59,7 +66,7 @@ def reference_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     table = sub.add_parser(
-        "table", parents=[common], help="print cohomology tables for a curve class"
+        "table", parents=[windowed], help="print cohomology tables for a curve class"
     )
     table.add_argument("--ambient", default=None, help="p2, p3, p4, ... or quadric3")
     table.add_argument("-d", "--degree", type=int, default=None)
@@ -71,7 +78,7 @@ def reference_parser() -> argparse.ArgumentParser:
     table.set_defaults(func=cmd_table)
 
     link = sub.add_parser(
-        "link", parents=[common], help="residual degree and genus across a linkage"
+        "link", parents=[unwindowed], help="residual degree and genus across a linkage"
     )
     link.add_argument("-d", "--degree", type=int, default=None)
     link.add_argument("-g", "--genus", type=int, default=None)
@@ -82,7 +89,7 @@ def reference_parser() -> argparse.ArgumentParser:
     link.set_defaults(func=cmd_link)
 
     resolve = sub.add_parser(
-        "resolve", parents=[common], help="synthesize and check a resolution"
+        "resolve", parents=[windowed], help="synthesize and check a resolution"
     )
     resolve.add_argument("--ambient", default=None, help="must be quadric3")
     resolve.add_argument("-d", "--degree", type=int, default=None)
@@ -97,7 +104,7 @@ def reference_parser() -> argparse.ArgumentParser:
     resolve.set_defaults(func=cmd_resolve)
 
     verify = sub.add_parser(
-        "verify", parents=[common], help="run the reference-check suite"
+        "verify", parents=[unwindowed], help="run the reference-check suite"
     )
     verify.set_defaults(func=cmd_verify)
 
@@ -116,12 +123,15 @@ HAND_PICKED = [
     ["--"],
     ["--", "verify"],
     ["link", "-d", "8", "-g", "4", "--ci", "2,2,3", "--"],
+    ["link", "-d", "8", "-g", "4", "--ci", "2,2,3", "--window=abc"],
+    ["verify", "--window", "0:6"],
     ["link", "--", "-d", "8"],
     ["link", "--degree=--", "-g", "4", "--ci", "2,2,3"],
     ["link", "-d", "8", "--genus=--", "--ci", "2,2,3", "--format=--"],
     ["table", "--ambient", "q", "-d", "8", "-g", "4", "--rows=--"],
     ["resolve", "--ambient", "q", "-d", "8", "-g", "4", "--etype", "--ntype"],
     ["table", "--ambient", "q", "-d", "x", "-g", "4", "--rows", "bogus"],
+    ["table", "--ambient", "p4", "-d", "8", "-g", "x", "--rows", "ambient"],
     ["link", "-d", "8", "-g", "1.5", "--ci", "2,2,3", "--format", "yaml"],
     [],
     ["-h"],

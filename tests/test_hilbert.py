@@ -10,6 +10,7 @@ resolution table, halve (the kernel is a square), and read off h0 at the
 shifted twist.
 """
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -17,7 +18,7 @@ from math import factorial
 
 import pytest
 
-from quadliaison import QUADRIC3, binom, h0_proj, h0_quadric3, h0_spinor, proj_space
+from quadliaison import QUADRIC3, binom, hilbert, h0_proj, h0_quadric3, h0_spinor, proj_space
 from quadliaison.hilbert import SPINOR_C1, SPINOR_DUAL_SHIFT, SPINOR_RANK
 
 # -- Hirzebruch-Riemann-Roch on Q -------------------------------------------
@@ -164,6 +165,23 @@ def test_h0_quadric_examples():
     assert h0_quadric3(6) == 140
     assert h0_quadric3(-1) == 0
     assert [h0_quadric3(n) for n in range(7)] == [1, 5, 14, 30, 55, 91, 140]
+
+
+def test_h0_quadric_row_is_the_running_sum_of_its_steps(monkeypatch):
+    """The row sums the steps (k + 1)^2 from the closed form at its first
+    twist, so it calls neither h0_quadric3 nor math.comb, and it equals
+    h0_quadric3 on one long row and on every window in -60..60."""
+    count = {k: h0_quadric3(k) for k in range(-60, 5001)}
+
+    def refuse(*args):
+        raise AssertionError("the row made a binomial or per-twist count")
+
+    monkeypatch.setattr(hilbert, "h0_quadric3", refuse)
+    monkeypatch.setattr(math, "comb", refuse)
+    assert hilbert.h0_quadric3_row(-50, 5000) == [count[k] for k in range(-50, 5001)]
+    for lo in range(-60, 61):
+        for hi in range(lo - 1, 61):
+            assert hilbert.h0_quadric3_row(lo, hi) == [count[k] for k in range(lo, hi + 1)]
 
 
 def test_h0_spinor_matches_kernel_difference_oracle():
