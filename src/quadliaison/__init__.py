@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 # submodule -> the names the package root re-exports from it
 _EXPORTS = {
     "ambient": "P2 P3 P4 QUADRIC3 Ambient parse_ambient proj_space",
-    "classify": "CANDIDATE_CAP DEFAULT_TWIST_BOUNDS MATCH_WINDOW GeneratorEstimate"
+    "classify": "CANDIDATE_CAP DEFAULT_TWIST_BOUNDS GeneratorEstimate"
     " enumerate_rank4_candidates etype_candidates etype_middle generator_estimate"
     " kernel_table_from_resolution match_acm_kernel rank4_candidate_count",
     "curves": "DEFAULT_WINDOW CohomTable CurveClass Feasibility RegularityReport Window"

@@ -5,9 +5,10 @@ Every indecomposable ACM bundle on the quadric threefold is a twisted
 line bundle or a twist of the rank-2 spinor-type bundle, so a rank-4
 ACM kernel is one of three shapes: E0(a)+O(b)+O(c), E0(a)+E0(b), or a
 sum of four line bundles.  Matching filters them by section counts over
-a finite window, read off rows of atom counts; it does not pin the kernel
-down.  It tries rank 4 whatever the rank of the middle term, its answer
-can change with the window, and it may return no candidate or several.
+a finite window, by default the package's DEFAULT_WINDOW (-1:8) as in the
+CLI, read off rows of atom counts; it does not pin the kernel down.  It
+tries rank 4 whatever the rank of the middle term, its answer can change
+with the window, and it may return no candidate or several.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .sheaves import SheafExpr
 
 CANDIDATE_CAP = 10_000
 DEFAULT_TWIST_BOUNDS: tuple[int, int] = (-6, 3)
-MATCH_WINDOW: Window = (0, 6)
 
 
 def rank4_candidate_count(twist_lo: int, twist_hi: int) -> int:
@@ -76,7 +76,7 @@ def _pair_counts(twist_lo: int, twist_hi: int, n: int) -> list:
 
 def match_acm_kernel(
     target: Mapping[int, int],
-    window: Window = MATCH_WINDOW,
+    window: Window = DEFAULT_WINDOW,
     twist_lo: int = DEFAULT_TWIST_BOUNDS[0],
     twist_hi: int = DEFAULT_TWIST_BOUNDS[1],
 ) -> list[SheafExpr]:
@@ -115,7 +115,7 @@ def match_acm_kernel(
 
 
 def kernel_table_from_resolution(
-    curve: CurveClass, middle: SheafExpr, window: Window = MATCH_WINDOW
+    curve: CurveClass, middle: SheafExpr, window: Window = DEFAULT_WINDOW
 ) -> dict[int, int]:
     """Section counts of the kernel of middle ->> I_C, twist by twist.
 
@@ -140,13 +140,15 @@ class GeneratorEstimate(NamedTuple):
 
     New generators in degree k are counted as h0(I(k)) minus the span of
     degree k-1 sections times linear forms, ASSUMING that multiplication
-    map is injective; the flag records the assumption.  Degrees run up
-    to the certified regularity, past which no new generators appear.
+    map is injective; every estimate makes that assumption, and the class
+    constant records it.  Degrees run up to the certified regularity, past
+    which no new generators appear.
     """
 
     counts: dict[int, int]
     regularity: int
-    assumes_injective_multiplication: bool = True
+
+    assumes_injective_multiplication = True
 
 
 def generator_estimate(curve: CurveClass) -> GeneratorEstimate:
@@ -174,13 +176,14 @@ def etype_middle(curve: CurveClass) -> SheafExpr:
 
 def etype_candidates(
     curve: CurveClass,
-    match_window: Window = MATCH_WINDOW,
+    match_window: Window = DEFAULT_WINDOW,
     twist_lo: int = DEFAULT_TWIST_BOUNDS[0],
     twist_hi: int = DEFAULT_TWIST_BOUNDS[1],
 ) -> tuple[SheafExpr, list[SheafExpr]]:
     """Middle term from generator estimates plus every classified kernel
-    matching its section deficit.  A unique match yields the E-type
-    resolution; callers decide how to treat ambiguity."""
+    matching its section deficit on match_window, -1:8 unless given.  A
+    unique match yields the E-type resolution; callers decide how to treat
+    ambiguity."""
     middle = etype_middle(curve)
     table = kernel_table_from_resolution(curve, middle, match_window)
     return middle, match_acm_kernel(table, match_window, twist_lo, twist_hi)

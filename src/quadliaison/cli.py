@@ -253,18 +253,19 @@ def cmd_resolve(args: argparse.Namespace) -> int:
     window = run.window()
     curve = run.curve().on_quadric()
     flavor = "etype" if args.etype else "ntype" if args.ntype else run.get("flavor")
+    if flavor not in ("etype", "ntype"):
+        raise ValueError("choose a flavor: --etype or --ntype")
+    # the E-type reads no via, but checks a given one as the N-type does
+    twists = None if run.get("via") is None else run.int_list("via")
+    if twists is not None and len(twists) != 2:
+        raise ValueError("--via needs exactly two divisor twists")
     if flavor == "etype":
         triple = _unique_etype(curve, window)
-    elif flavor == "ntype":
-        if run.get("via") is None:
-            raise ValueError("--via A,B (divisor twists) is required for N-type")
-        twists = run.int_list("via")
-        if len(twists) != 2:
-            raise ValueError("--via needs exactly two divisor twists")
+    elif twists is None:
+        raise ValueError("--via A,B (divisor twists) is required for N-type")
+    else:
         etype = _unique_etype(residual_curve(curve, *twists), window)
         triple = mapping_cone_n_from_e(etype, twists, window)
-    else:
-        raise ValueError("choose a flavor: --etype or --ntype")
     report = resolution_consistency_check(triple, window)
     run.emit(
         lambda: f"{triple.render()}\n{report.render_text()}\n",

@@ -127,12 +127,11 @@ class ConsistencyReport(NamedTuple):
     resolution: ResolutionTriple
     window: Window
     cells: tuple[CellCheck, ...]
-    rank_ok: bool
-    c1_ok: bool
 
     @property
     def ok(self) -> bool:
-        return self.rank_ok and self.c1_ok and all(c.ok for c in self.cells)
+        res = self.resolution
+        return (res.rank_diff, res.c1_diff) == (1, 0) and all(c.ok for c in self.cells)
 
     def first_failure(self) -> CellCheck | None:
         return next((cell for cell in self.cells if not cell.ok), None)
@@ -145,11 +144,10 @@ class ConsistencyReport(NamedTuple):
         fail = self.first_failure()
         if fail is not None:
             return f"consistency FAIL at n={fail.twist}: {fail.lhs} != {fail.rhs}"
-        if not (self.rank_ok and self.c1_ok):
-            return (
-                f"consistency FAIL: rank diff {self.resolution.rank_diff} "
-                f"(want 1), c1 diff {self.resolution.c1_diff} (want 0)"
-            )
+        res = self.resolution
+        if not self.ok:  # every cell passed, so the rank or c1 diff is off
+            return (f"consistency FAIL: rank diff {res.rank_diff} (want 1), "
+                    f"c1 diff {res.c1_diff} (want 0)")
         lo, hi = self.window
         return f"consistency PASS over n in [{lo},{hi}] (rank diff 1, c1 diff 0)"
 
@@ -167,13 +165,7 @@ def resolution_consistency_check(
         CellCheck(n, res.middle.h0(n) - res.kernel.h0(n), ideal)
         for n, ideal in ideal_h0_table(res.curve, window).items()
     )
-    return ConsistencyReport(
-        resolution=res,
-        window=window,
-        cells=cells,
-        rank_ok=res.rank_diff == 1,
-        c1_ok=res.c1_diff == 0,
-    )
+    return ConsistencyReport(res, window, cells)
 
 
 def _checked(res: ResolutionTriple, window: Window) -> ResolutionTriple:

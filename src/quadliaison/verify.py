@@ -245,21 +245,13 @@ def run_reference_checks() -> list[CheckResult]:
             )
         )
 
-    # Kernel classification and generator counts.
-    add(
-        _eq(
-            "match-kernel-84",
-            [e.render() for e in match_acm_kernel({0: 0, 1: 0, 2: 0, 3: 0, 4: 8, 5: 32, 6: 80})],
-            ["2*E0(-2)"],
-        )
-    )
-    add(
-        _eq(
-            "match-kernel-40",
-            [e.render() for e in match_acm_kernel({0: 0, 1: 0, 2: 0, 3: 8, 4: 32, 5: 80, 6: 160})],
-            ["2*E0(-1)"],
-        )
-    )
+    # Kernel classification on twists 0..6, where these targets are given, and generator counts.
+    for name, target, expected in (
+        ("match-kernel-84", (0, 0, 0, 0, 8, 32, 80), ["2*E0(-2)"]),
+        ("match-kernel-40", (0, 0, 0, 8, 32, 80, 160), ["2*E0(-1)"]),
+    ):
+        kernels = match_acm_kernel(dict(enumerate(target)), (0, 6))
+        add(_eq(name, [e.render() for e in kernels], expected))
     add(
         _eq(
             "generators-84-quadric",

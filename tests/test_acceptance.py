@@ -142,9 +142,9 @@ def test_criterion_7_mapping_cone_and_discrepancy(monkeypatch):
     derived = mapping_cone_n_from_e(ETYPE_40, (2, 3))
     assert derived.render() == DERIVED_NTYPE_TEXT
     report = resolution_consistency_check(derived, (0, 6))
-    assert report.ok and report.rank_ok and report.c1_ok
-    assert derived.rank_diff == 1
-    assert derived.c1_diff == 0
+    assert report.ok
+    assert report.resolution.rank_diff == 1
+    assert report.resolution.c1_diff == 0
     expected = ideal_h0_table(C84_Q, (0, 6))
     for cell in report.cells:
         assert cell.rhs == expected[cell.twist]

@@ -10,7 +10,6 @@ from quadliaison import (
     CANDIDATE_CAP,
     DEFAULT_TWIST_BOUNDS,
     DEFAULT_WINDOW,
-    MATCH_WINDOW,
     Ambient,
     CellCheck,
     CurveClass,
@@ -49,6 +48,8 @@ C40 = CurveClass(QUADRIC3, 4, 0)
 # test_hilbert (middle minus ideal, halved); keys are the twists
 KERNEL_84 = {0: 0, 1: 0, 2: 0, 3: 0, 4: 8, 5: 32, 6: 80}
 KERNEL_40 = {0: 0, 1: 0, 2: 0, 3: 8, 4: 32, 5: 80, 6: 160}
+# the twists those columns cover, passed wherever a test matches on them
+KERNEL_WINDOW = (0, 6)
 
 
 def brute_candidate_count(lo, hi):
@@ -155,9 +156,9 @@ def test_enumeration_rejects_empty_range():
 
 
 def test_match_finds_unique_spinor_pair_for_each_curve():
-    got_84 = match_acm_kernel(KERNEL_84)
+    got_84 = match_acm_kernel(KERNEL_84, KERNEL_WINDOW)
     assert got_84 == [spinor(-2, 2)]
-    got_40 = match_acm_kernel(KERNEL_40)
+    got_40 = match_acm_kernel(KERNEL_40, KERNEL_WINDOW)
     assert got_40 == [spinor(-1, 2)]
 
 
@@ -169,14 +170,14 @@ def test_match_window_must_span_five_twists():
 def test_match_target_must_cover_window():
     partial = {n: KERNEL_84[n] for n in range(0, 4)}
     with pytest.raises(ValueError):
-        match_acm_kernel(partial)
+        match_acm_kernel(partial, KERNEL_WINDOW)
 
 
 def test_every_candidate_matches_its_own_table():
     lo, hi = -2, 0
     for expr in enumerate_rank4_candidates(lo, hi):
-        target = {n: expr.h0(n) for n in range(MATCH_WINDOW[0], MATCH_WINDOW[1] + 1)}
-        matches = match_acm_kernel(target, twist_lo=lo, twist_hi=hi)
+        target = {n: expr.h0(n) for n in range(KERNEL_WINDOW[0], KERNEL_WINDOW[1] + 1)}
+        matches = match_acm_kernel(target, KERNEL_WINDOW, lo, hi)
         assert expr in matches
 
 
@@ -307,14 +308,14 @@ def test_match_compares_from_the_top_twist(counts, target):
     most 2 * w atom counts per twist, against up to 4 per candidate before.
     Matching stops once no candidate is left."""
     enumerate_rank4_candidates()
-    got = match_acm_kernel(target)
+    got = match_acm_kernel(target, KERNEL_WINDOW)
     assert counts["sums"] == []
-    lo, hi = MATCH_WINDOW
+    lo, hi = KERNEL_WINDOW
     twist_lo, twist_hi = DEFAULT_TWIST_BOUNDS
     width = twist_hi - twist_lo + 1
     assert len(counts["atoms"]) <= 2 * width * (hi - lo + 1)
     assert counts["atoms"][:2 * width] == [*range(twist_lo + hi, twist_hi + hi + 1)] * 2
-    assert got == filter_match(target, MATCH_WINDOW, *DEFAULT_TWIST_BOUNDS)
+    assert got == filter_match(target, KERNEL_WINDOW, *DEFAULT_TWIST_BOUNDS)
 
 
 @pytest.mark.parametrize("top, compared", [(81, 1), (79, 2), (80, 7)])
@@ -325,20 +326,20 @@ def test_match_stops_once_no_candidate_is_left(counts, top, compared):
     count, 80, keeps 2*E0(-2) through the whole window."""
     enumerate_rank4_candidates()
     target = {**KERNEL_84, 6: top}
-    got = match_acm_kernel(target)
+    got = match_acm_kernel(target, KERNEL_WINDOW)
     assert counts["sums"] == []
     twist_lo, twist_hi = DEFAULT_TWIST_BOUNDS
-    hi = MATCH_WINDOW[1]
+    hi = KERNEL_WINDOW[1]
     assert counts["atoms"] == [k + n for n in range(hi, hi - compared, -1)
                                for _ in "OE" for k in range(twist_lo, twist_hi + 1)]
-    assert got == filter_match(target, MATCH_WINDOW, *DEFAULT_TWIST_BOUNDS)
+    assert got == filter_match(target, KERNEL_WINDOW, *DEFAULT_TWIST_BOUNDS)
     assert got == ([spinor(-2, 2)] if top == 80 else [])
 
 
 def test_kernel_table_from_resolution():
-    got = kernel_table_from_resolution(C84, line_bundle(-2) + line_bundle(-3, 4))
+    got = kernel_table_from_resolution(C84, line_bundle(-2) + line_bundle(-3, 4), KERNEL_WINDOW)
     assert got == KERNEL_84
-    got = kernel_table_from_resolution(C40, line_bundle(-2, 5))
+    got = kernel_table_from_resolution(C40, line_bundle(-2, 5), KERNEL_WINDOW)
     assert got == KERNEL_40
 
 
@@ -352,7 +353,7 @@ def test_kernel_table_reports_deficient_middle():
     ]
     for curve, twist, value, message in cases:
         with pytest.raises(NegativeDimension) as info:
-            kernel_table_from_resolution(curve, line_bundle(-2), MATCH_WINDOW)
+            kernel_table_from_resolution(curve, line_bundle(-2), KERNEL_WINDOW)
         assert (info.value.twist, info.value.value, str(info.value)) == (twist, value, message)
 
 

@@ -26,7 +26,9 @@ from quadliaison.cli import (
     load_scenario,
     main,
 )
-from quadliaison.curves import MAX_WINDOW_TWISTS
+from quadliaison.ambient import QUADRIC3
+from quadliaison.classify import etype_candidates
+from quadliaison.curves import MAX_WINDOW_TWISTS, CurveClass
 from quadliaison.hilbert import h0_proj
 from quadliaison.sheaves import line_bundle, spinor
 
@@ -223,6 +225,32 @@ def test_resolve_rejects_malformed_via(capsys):
     )
     assert code == EXIT_USAGE
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    (["--etype", "--via=x,y", "--window", "0:6"], EXIT_USAGE, "",
+     "error: via must be comma-separated integers, got 'x,y'\n"),
+    (["--etype", "--via", "1,2,3"], EXIT_USAGE, "",
+     "error: --via needs exactly two divisor twists\n"),
+    (["--etype", "--via", "2,3", "--window", "0:6"], EXIT_OK, golden("resolve_84_etype.txt"), ""),
+], ids=["letters", "three-twists", "good"])
+def test_resolve_checks_a_given_via_for_either_flavor(capsys, argv, code, out, err):
+    """The E-type does not read --via, but a given value is checked as the
+    N-type checks it, with the same messages."""
+    argv = ["resolve", "--ambient", "q", "-d", "8", "-g", "4", *argv]
+    assert run(capsys, *argv) == (code, out, err)
+
+
+@pytest.mark.parametrize("d, g", [(1, 0), (3, 0), (6, 2), (7, 3), (8, 4), (4, 0)])
+def test_library_and_cli_classify_on_one_default_window(capsys, d, g):
+    """With no window given, etype_candidates keeps as many kernels as
+    ql resolve --etype reports: its not-unique count, or 1 on exit 0."""
+    _, kernels = etype_candidates(CurveClass(QUADRIC3, d, g))
+    code, _, err = run(capsys, "resolve", "--ambient", "q", "-d", str(d), "-g", str(g), "--etype")
+    ambiguous = re.search(r"is not unique: (\d+) candidates", err)
+    if ambiguous is None:
+        assert code == EXIT_OK
+    assert len(kernels) == (1 if ambiguous is None else int(ambiguous.group(1)))
 
 
 def test_resolve_ambiguous_kernel_exits_3(capsys):

@@ -122,7 +122,7 @@ def test_consistency_pass_for_published_resolutions():
         report = resolution_consistency_check(triple, (0, 6))
         assert report.ok
         assert len(report.cells) == 7
-        assert report.rank_ok and report.c1_ok
+        assert (report.resolution.rank_diff, report.resolution.c1_diff) == (1, 0)
         assert report.first_failure() is None
         assert "PASS" in report.render_text()
 

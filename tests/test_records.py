@@ -39,15 +39,12 @@ RECORDS = [
     (ResolutionTriple, {"kernel": spinor(-1, 2), "middle": line_bundle(-2, 5),
                         "curve": CURVE, "flavor": ResolutionFlavor.E_TYPE}, {}),
     (CellCheck, {"twist": 2, "lhs": 5, "rhs": 4}, {}),
-    (ConsistencyReport, {"resolution": TRIPLE, "window": (0, 6), "cells": (CELL,),
-                         "rank_ok": True, "c1_ok": False}, {}),
+    (ConsistencyReport, {"resolution": TRIPLE, "window": (0, 6), "cells": (CELL,)}, {}),
     (CohomTable, {"window": (0, 1), "rows": ([0, 5], [0, 0], [1, None], [0, 0]),
                   "notes": ("n",)}, {"notes": ()}),
     (RegularityReport, {"regularity": 3, "witness": ((1, 2), (2, 1), (3, 0))}, {}),
     (Feasibility, {"feasible": False, "witness_twist": 1}, {"witness_twist": None}),
-    (GeneratorEstimate, {"counts": {2: 5}, "regularity": 2,
-                         "assumes_injective_multiplication": False},
-     {"assumes_injective_multiplication": True}),
+    (GeneratorEstimate, {"counts": {2: 5}, "regularity": 2}, {}),
     (CheckResult, {"name": "kernel-rank-4", "status": "PASS", "detail": "4 (expected 4)"}, {}),
 ]
 # the second SheafExpr row fills the spinor field and leaves lines required

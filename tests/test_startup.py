@@ -21,11 +21,12 @@ SRC = str(Path(__file__).parent.parent / "src")
 
 # What the package root re-exported when it imported every submodule eagerly,
 # less the two atom classes that sheaves no longer has, the one-line
-# wrappers zero_sheaf and all_ok, and the per-twist counts curve_sections and
-# ideal_h0, which leave curves only as rows.
+# wrappers zero_sheaf and all_ok, the per-twist counts curve_sections and
+# ideal_h0, which leave curves only as rows, and MATCH_WINDOW, since
+# classification defaults to DEFAULT_WINDOW.
 REEXPORTS = {
     "ambient": "P2 P3 P4 QUADRIC3 Ambient parse_ambient proj_space",
-    "classify": "CANDIDATE_CAP DEFAULT_TWIST_BOUNDS MATCH_WINDOW GeneratorEstimate "
+    "classify": "CANDIDATE_CAP DEFAULT_TWIST_BOUNDS GeneratorEstimate "
     "enumerate_rank4_candidates etype_candidates etype_middle generator_estimate "
     "kernel_table_from_resolution match_acm_kernel rank4_candidate_count",
     "curves": "DEFAULT_WINDOW CohomTable CurveClass Feasibility RegularityReport Window "
