@@ -19,8 +19,7 @@ _EXPORTS = {
     " kernel_table_from_resolution match_acm_kernel rank4_candidate_count",
     "curves": "DEFAULT_WINDOW CohomTable CurveClass Feasibility RegularityReport Window"
     " acm_embedding_obstruction ambient_table full_ideal_table ideal_h0_table"
-    " klein_parity_check nonspecial_threshold parse_window plane_genus"
-    " quadric_surface_genus_spectrum regularity render_value_csv render_value_row rr_chi"
+    " nonspecial_threshold parse_window regularity render_value_csv render_value_row rr_chi"
     " section_table",
     "errors": "InconsistencyError InfeasibleError MappingConeInconsistent NegativeDimension"
     " QLError RangeTooLarge",

@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 from .hilbert import h0_proj, h0_proj_row, h0_quadric3, h0_quadric3_row
 
 
 class Ambient(NamedTuple("Ambient", [("kind", str), ("dim", int)])):
-    """Either P^n (kind ``"proj"``) or the quadric threefold (kind ``"quadric3"``).
+    """Either P^n with 2 <= n <= 4 (kind ``"proj"``) or the quadric threefold
+    (kind ``"quadric3"``).
 
     ``dim`` is the dimension of the space itself, so the quadric threefold
     has dim 3 even though it lives in P^4.
@@ -21,6 +21,8 @@ class Ambient(NamedTuple("Ambient", [("kind", str), ("dim", int)])):
         if kind == "proj":
             if dim < 2:
                 raise ValueError(f"projective ambient needs dim >= 2, got {dim}")
+            if dim > 4:
+                raise ValueError(f"projective ambient needs dim <= 4, got {dim}")
         elif kind == "quadric3":
             if dim != 3:
                 raise ValueError("the quadric threefold has dimension 3")
@@ -38,16 +40,6 @@ class Ambient(NamedTuple("Ambient", [("kind", str), ("dim", int)])):
             return h0_quadric3(k)
         return h0_proj(self.dim, k)
 
-    def h0_at_least(self, k: int, bound: int) -> bool:
-        """Whether h0(k) >= bound, for bound >= 1.  On P^m, C(N, j) with N = m + k and
-        j = min(m, k) is built only if its bracket (N/j)^j to (e*N/j)^j leaves it in doubt."""
-        j = min(self.dim, k, bound.bit_length() + 1)  # C(N, j) >= 2^j, rising with j <= N/2
-        if not self.is_quadric and j > 0:
-            low = j * (math.log2(self.dim + k) - math.log2(j)) - math.log2(bound)
-            if low > 1 or low + j * math.log2(math.e) < -1:
-                return low > 0
-        return self.h0(k) >= bound
-
     def h0_row(self, lo: int, hi: int) -> list[int]:
         """``[self.h0(k) for k in range(lo, hi + 1)]``, computed row-wise."""
         if self.is_quadric:
@@ -61,7 +53,7 @@ class Ambient(NamedTuple("Ambient", [("kind", str), ("dim", int)])):
 
 
 def proj_space(n: int) -> Ambient:
-    """Projective n-space, n >= 2."""
+    """Projective n-space, 2 <= n <= 4."""
     return Ambient("proj", n)
 
 
@@ -70,12 +62,12 @@ P3 = proj_space(3)
 P4 = proj_space(4)
 QUADRIC3 = Ambient("quadric3", 3)
 
+_LABELS = {"p2": P2, "p3": P3, "p4": P4, "quadric3": QUADRIC3, "q": QUADRIC3}
+
 
 def parse_ambient(text: str) -> Ambient:
-    """Parse an ambient label: ``p3``, ``p4``, ... or ``quadric3``."""
-    t = text.strip().lower()
-    if t in ("quadric3", "q"):
-        return QUADRIC3
-    if t.startswith("p") and t[1:].isdigit():
-        return proj_space(int(t[1:]))
-    raise ValueError(f"unknown ambient {text!r} (expected p<n> or quadric3)")
+    """Parse an ambient label, in any case: ``p2``, ``p3``, ``p4``, ``quadric3`` or ``q``."""
+    try:
+        return _LABELS[text.strip().lower()]
+    except KeyError:
+        raise ValueError(f"unknown ambient {text!r} (expected p2, p3, p4 or quadric3)") from None

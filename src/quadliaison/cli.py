@@ -11,6 +11,13 @@ arguments.  The environment variable QL_WINDOW (``lo:hi``) sets the
 default twist window of ``table`` and ``resolve``, the two commands that
 read one; a scenario file sets per-run defaults; flags win.
 
+Input domain.  Each value is checked when it is read, the same way from a
+flag, a scenario file or QL_WINDOW, and one outside the domain exits 1
+with its key's message: the ambient is p2, p3, p4 or quadric3 (q); the
+degree and genus lie in -10^9..10^9; --ci has two or three degrees and
+--via two twists, each in -10^6..10^6; a window spans at most 10,000
+twists, both ends in -10^6..10^6.
+
 Commands import what they use beyond ambient, curves and errors when they
 run: ``table`` loads no other module, and only ``verify`` loads the suite.
 """
@@ -25,6 +32,7 @@ from typing import TYPE_CHECKING
 from .ambient import Ambient, parse_ambient
 from .curves import (
     DEFAULT_WINDOW,
+    MAX_TWIST,
     CurveClass,
     Window,
     ambient_table,
@@ -33,7 +41,6 @@ from .curves import (
     parse_window,
     render_value_csv,
     render_value_row,
-    rr_chi,
     section_table,
 )
 from .errors import InconsistencyError, InfeasibleError
@@ -54,6 +61,22 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+
+# The integer keys of the input domain: the bound on each value's size,
+# and for a list key its allowed lengths with the message for any other.
+_BOUNDS = {"degree": 10**9, "genus": 10**9, "ci": MAX_TWIST, "via": MAX_TWIST}
+_LENGTHS = {
+    "ci": ((2, 3), "--ci needs two or three hypersurface degrees"),
+    "via": ((2,), "--via needs exactly two divisor twists"),
+}
+
+
+def _bounded(key: str, value: int) -> int:
+    bound = _BOUNDS[key]
+    if not -bound <= value <= bound:
+        raise ValueError(f"{key} must lie in -{bound}..{bound}, got {value}")
+    return value
 
 
 def load_scenario(path: str) -> dict[str, str]:
@@ -95,9 +118,10 @@ class _Run:
     def int_of(self, key: str) -> int:
         value = self.require(key)
         try:
-            return int(value)
+            number = int(value)
         except ValueError:
             raise ValueError(f"{key} must be an integer, got {value!r}") from None
+        return _bounded(key, number)
 
     def window(self) -> Window:
         # an empty flag or scenario value is a bad window; an empty QL_WINDOW is unset
@@ -111,13 +135,22 @@ class _Run:
         return CurveClass(self.ambient(), self.int_of("degree"), self.int_of("genus"))
 
     def int_list(self, key: str) -> tuple[int, ...]:
+        # counted before any entry is converted, so a long list costs nothing;
+        # a short one is refused after, so a malformed entry is reported as typed
         text = self.require(key)
+        parts = text.split(",")
+        lengths, message = _LENGTHS[key]
+        if len(parts) > max(lengths):
+            raise ValueError(message)
         try:
-            return tuple(int(part) for part in text.split(","))
+            values = tuple(map(int, parts))
         except ValueError:
             raise ValueError(
                 f"{key} must be comma-separated integers, got {text!r}"
             ) from None
+        if len(values) not in lengths:
+            raise ValueError(message)
+        return tuple(_bounded(key, value) for value in values)
 
     def emit(self, text, csv, record) -> None:
         """Print the result in the chosen format.  Each argument renders it
@@ -128,34 +161,7 @@ class _Run:
         renderers = {"text": text, "csv": csv, "json": lambda: _json_text(record())}
         if fmt not in renderers:
             raise ValueError(f"unknown format {fmt!r}")
-        try:
-            output = renderers[fmt]()
-        except ValueError:
-            # The renderers raise nothing of their own; this is Python's cap
-            # on int-to-text conversion, kept because it also bounds argv.
-            raise ValueError(
-                f"a value to print has more than {sys.get_int_max_str_digits()} digits; "
-                "narrow the window or the twists"
-            ) from None
-        print(output, end="")
-
-
-def _stop_at_unprintable(run: _Run, ambient: Ambient, curve, window: Window) -> None:
-    """Fail as the whole table would when the window holds an ambient count
-    (no curve) or ideal count h0 - sections with more digits than Python
-    prints, without building it.  Counts only rise past one that long (an
-    ideal count that long exceeds the genus), so the top twist decides, and
-    a negative ideal count, which can only come before it, raises first."""
-    digits = sys.get_int_max_str_digits()  # a cap of 0 means none
-    limit = 10 ** digits  # above every genus, which argv parsing caps alike
-    lo, hi = window
-    top = 0 if curve is None else section_table(curve, (hi, hi))[hi]
-    if digits and ambient.h0_at_least(hi, limit + top):
-        for n in range(max(lo, 1), hi + 1) if curve else ():  # no count below 1 exceeds 1
-            sections = rr_chi(curve.degree, curve.genus, n)  # chi from n = 1 on
-            if sections > 0 and not ambient.h0_at_least(n, sections):
-                ideal_h0_table(curve, (n, n))  # raises NegativeDimension
-        run.emit(*[lambda: str(limit)] * 3)
+        print(renderers[fmt](), end="")
 
 
 def _json_text(value) -> str:
@@ -181,9 +187,6 @@ def cmd_table(args: argparse.Namespace) -> int:
     for key in ("degree", "genus") if curve is None else ():  # checked, though no curve is built
         if run.get(key) is not None:
             run.int_of(key)
-    # full_ideal_table refuses ambients below dimension 3 before any count
-    if rows in ("ambient", "ideal") or rows == "full" and ambient.dim >= 3:
-        _stop_at_unprintable(run, ambient, curve, window)
     if rows == "full":
         table = full_ideal_table(curve, window)
         twists = range(window[0], window[1] + 1)
@@ -257,8 +260,6 @@ def cmd_resolve(args: argparse.Namespace) -> int:
         raise ValueError("choose a flavor: --etype or --ntype")
     # the E-type reads no via, but checks a given one as the N-type does
     twists = None if run.get("via") is None else run.int_list("via")
-    if twists is not None and len(twists) != 2:
-        raise ValueError("--via needs exactly two divisor twists")
     if flavor == "etype":
         triple = _unique_etype(curve, window)
     elif twists is None:
@@ -330,7 +331,7 @@ _FLAGS = {
         "write --window=-1:4 when LO is negative",
     ),
     "scenario": (("--scenario",), "FILE", "key=value defaults; flags override"),
-    "ambient": (("--ambient",), "AMBIENT", "p2, p3, p4, ... or quadric3"),
+    "ambient": (("--ambient",), "AMBIENT", "p2, p3, p4 or quadric3 (q)"),
     "degree": (("-d", "--degree"), "DEGREE", None),
     "genus": (("-g", "--genus"), "GENUS", None),
     "rows": (("--rows",), "{full,ideal,section,ambient}", "which table to print (default full)"),

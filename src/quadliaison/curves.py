@@ -35,14 +35,16 @@ Window = tuple[int, int]
 
 DEFAULT_WINDOW: Window = (-1, 8)
 
-#: Widest window, in twists, that ``parse_window`` accepts.  Windows passed
-#: to the table functions as tuples are not capped.
+#: Widest window, in twists, and largest |twist| at either end, that
+#: ``parse_window`` accepts.  Windows passed to the table functions as tuples
+#: are not capped.
 MAX_WINDOW_TWISTS = 10_000
+MAX_TWIST = 10**6
 
 
 def parse_window(text: str) -> Window:
     """Parse ``lo:hi`` into an inclusive twist window of at most
-    MAX_WINDOW_TWISTS twists."""
+    MAX_WINDOW_TWISTS twists, each in -MAX_TWIST..MAX_TWIST."""
     parts = text.split(":")
     if len(parts) != 2:
         raise ValueError(f"window must be lo:hi, got {text!r}")
@@ -56,6 +58,8 @@ def parse_window(text: str) -> Window:
         raise ValueError(
             f"window {text!r} spans {hi - lo + 1} twists; at most {MAX_WINDOW_TWISTS} are allowed"
         )
+    if lo < -MAX_TWIST or hi > MAX_TWIST:
+        raise ValueError(f"window {text!r} must lie in -{MAX_TWIST}..{MAX_TWIST}")
     return (lo, hi)
 
 
@@ -321,25 +325,3 @@ def nonspecial_threshold(degree: int, genus: int) -> int:
 
 def _nonspecial(degree: int, genus: int) -> int:
     return max(1, (2 * genus - 2) // degree + 1)
-
-
-def plane_genus(degree: int) -> int:
-    """Arithmetic genus (d-1)(d-2)/2 of a plane curve of degree d."""
-    if degree < 1:
-        raise ValueError("degree must be positive")
-    return (degree - 1) * (degree - 2) // 2
-
-
-def quadric_surface_genus_spectrum(degree: int) -> set[int]:
-    """Genera of bidegree (a,b) curves on a nonsingular quadric surface.
-
-    A curve of bidegree (a,b) with a+b = degree has genus (a-1)(b-1).
-    """
-    if degree < 1:
-        raise ValueError("degree must be positive")
-    return {(a - 1) * (degree - a - 1) for a in range(1, degree)}
-
-
-def klein_parity_check(surface_degree: int) -> bool:
-    """Surfaces cut on the nonsingular quadric threefold have even degree."""
-    return surface_degree % 2 == 0

@@ -32,9 +32,7 @@ from quadliaison import (
     mapping_cone_e_from_n,
     mapping_cone_n_from_e,
     match_acm_kernel,
-    plane_genus,
     quadric_linkage,
-    quadric_surface_genus_spectrum,
     regularity,
     resolution_consistency_check,
     section_table,
@@ -47,6 +45,8 @@ from quadliaison.verify import (
     ETYPE_84,
     EXPECTED_DISCREPANCY,
     FAIL,
+    _plane_genus,
+    _quadric_surface_genus_spectrum,
     run_reference_checks,
 )
 
@@ -133,8 +133,8 @@ def test_criterion_6_obstructions_and_spectra():
     verdict = acm_embedding_obstruction(8, 4, P3)
     assert not verdict.feasible
     assert verdict.witness_twist == 1
-    assert plane_genus(8) == 21
-    assert 4 not in quadric_surface_genus_spectrum(8)
+    assert _plane_genus(8) == 21
+    assert 4 not in _quadric_surface_genus_spectrum(8)
 
 
 def test_criterion_7_mapping_cone_and_discrepancy(monkeypatch):

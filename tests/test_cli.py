@@ -6,12 +6,12 @@ golden files under tests/golden/ pin the exact bytes each command prints.
 
 import argparse
 import json
-import math
 import os
 import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -29,7 +29,6 @@ from quadliaison.cli import (
 from quadliaison.ambient import QUADRIC3
 from quadliaison.classify import etype_candidates
 from quadliaison.curves import MAX_WINDOW_TWISTS, CurveClass
-from quadliaison.hilbert import h0_proj
 from quadliaison.sheaves import line_bundle, spinor
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -433,7 +432,7 @@ def test_a_bad_value_gets_one_message_from_a_flag_or_a_scenario(
     (["link", "--degree=--", "-g", "4", "--ci", "2,2,3"],
      "degree must be an integer, got '--'"),
     (["table", "--ambient=--", "-d", "8", "-g", "4"],
-     "unknown ambient '--' (expected p<n> or quadric3)"),
+     "unknown ambient '--' (expected p2, p3, p4 or quadric3)"),
     (["table", "--ambient", "q", "-d", "8", "-g", "4", "--window=--"],
      "window must be lo:hi, got '--'"),
     (["link", "-d", "8", "-g", "4", "--ci=--"],
@@ -480,121 +479,121 @@ def test_window_width_is_capped_from_every_source(source, monkeypatch, tmp_path,
     )
 
 
-@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
-def test_value_too_long_to_print_is_a_readable_usage_error(fmt, capsys):
-    # C(10^12 + 500, 500) has about 6,000 digits, past Python's 4,300
-    code, out, err = run(
-        capsys, "table", "--ambient", "p500", "-d", "1", "-g", "0", "--rows", "ambient",
-        "--window=1000000000000:1000000000000", "--format", fmt,
-    )
-    assert (code, out) == (EXIT_USAGE, "")
-    assert err == (
-        f"error: a value to print has more than {sys.get_int_max_str_digits()} digits; "
-        "narrow the window or the twists\n"
-    )
+# The input domain: argv at a bound, which must exit 0 or 2 within 0.5 s,
+# argv one past it, and the message it must exit 1 with.  A `table` argv
+# runs with each of --rows ambient, ideal and full.  The lower bounds of a
+# curve's degree and genus (1 and 0) and of a --ci degree (1) keep their
+# messages from CurveClass and CILinkage, so only `link` and the E-type's
+# unused --via reach the lower bounds of the domain itself.
+BIG, LOW = "--window=990001:1000000", "--window=-1000000:-990001"
+Q84 = ["--ambient", "q", "-d", "8", "-g", "4"]
+DOMAIN = {
+    "ambient": (["table", "--ambient", "p4", "-d", "8", "-g", "4"],
+                ["table", "--ambient", "p5", "-d", "8", "-g", "4"],
+                "unknown ambient 'p5' (expected p2, p3, p4 or quadric3)"),
+    "degree-table": (["table", "--ambient", "p4", "-d", "1000000000", "-g", "0", BIG],
+                     ["table", "--ambient", "p4", "-d", "1000000001", "-g", "0", BIG],
+                     "degree must lie in -1000000000..1000000000, got 1000000001"),
+    "degree-link": (["link", "-d", "1000000000", "-g", "0", "--ci", "1000000,1000000,1000000"],
+                    ["link", "-d", "1000000001", "-g", "0", "--ci", "1000000,1000000,1000000"],
+                    "degree must lie in -1000000000..1000000000, got 1000000001"),
+    "degree-link-low": (["link", "-d=-1000000000", "-g", "0", "--ci", "2,2,3"],
+                        ["link", "-d=-1000000001", "-g", "0", "--ci", "2,2,3"],
+                        "degree must lie in -1000000000..1000000000, got -1000000001"),
+    "degree-resolve": (["resolve", "--ambient", "q", "-d", "1000000000", "-g", "0", "--etype"],
+                       ["resolve", "--ambient", "q", "-d", "1000000001", "-g", "0", "--etype"],
+                       "degree must lie in -1000000000..1000000000, got 1000000001"),
+    "genus-table": (["table", "--ambient", "p3", "-d", "1", "-g", "1000000000", BIG],
+                    ["table", "--ambient", "p3", "-d", "1", "-g", "1000000001", BIG],
+                    "genus must lie in -1000000000..1000000000, got 1000000001"),
+    "genus-link": (["link", "-d", "8", "-g", "1000000000", "--ci", "2,2,3"],
+                   ["link", "-d", "8", "-g", "1000000001", "--ci", "2,2,3"],
+                   "genus must lie in -1000000000..1000000000, got 1000000001"),
+    "genus-link-low": (["link", "-d", "8", "-g=-1000000000", "--ci", "2,2,3"],
+                       ["link", "-d", "8", "-g=-1000000001", "--ci", "2,2,3"],
+                       "genus must lie in -1000000000..1000000000, got -1000000001"),
+    "genus-resolve": (["resolve", "--ambient", "q", "-d", "1000000000", "-g", "1000000000",
+                       "--etype"],
+                      ["resolve", "--ambient", "q", "-d", "1000000000", "-g", "1000000001",
+                       "--etype"],
+                      "genus must lie in -1000000000..1000000000, got 1000000001"),
+    "ci": (["link", "-d", "8", "-g", "4", "--ci", "1000000,1000000,3"],
+           ["link", "-d", "8", "-g", "4", "--ci", "1000000,1000001,3"],
+           "ci must lie in -1000000..1000000, got 1000001"),
+    "ci-low": (["link", "-d", "8", "-g", "4", "--ci", "2,3"],
+               ["link", "-d", "8", "-g", "4", "--ci=2,-1000001"],
+               "ci must lie in -1000000..1000000, got -1000001"),
+    "ci-count": (["link", "-d", "8", "-g", "4", "--ci", "2,2,3"],
+                 ["link", "-d", "8", "-g", "4", "--ci", "2,2,3,2"],
+                 "--ci needs two or three hypersurface degrees"),
+    "ci-counted-first": (["link", "-d", "8", "-g", "4", "--ci", "2,2,3"],
+                         ["link", "-d", "8", "-g", "4", "--ci", "2,2,3,x"],
+                         "--ci needs two or three hypersurface degrees"),
+    "via": (["resolve", *Q84, "--etype", "--via=1000000,-1000000"],
+            ["resolve", *Q84, "--etype", "--via=1000001,-1000000"],
+            "via must lie in -1000000..1000000, got 1000001"),
+    "via-low": (["resolve", *Q84, "--etype", "--via=1000000,-1000000"],
+                ["resolve", *Q84, "--ntype", "--via=2,-1000001"],
+                "via must lie in -1000000..1000000, got -1000001"),
+    "via-count": (["resolve", *Q84, "--ntype", "--via", "2,3"],
+                  ["resolve", *Q84, "--ntype", "--via", "2,3,x"],
+                  "--via needs exactly two divisor twists"),
+    "window-table": (["table", *Q84, BIG],
+                     ["table", *Q84, "--window=990002:1000001"],
+                     "window '990002:1000001' must lie in -1000000..1000000"),
+    "window-table-low": (["table", *Q84, LOW],
+                         ["table", *Q84, "--window=-1000001:-990002"],
+                         "window '-1000001:-990002' must lie in -1000000..1000000"),
+    # kernel matching costs about 50 us a twist here, so this window is narrow
+    "window-resolve": (["resolve", *Q84, "--etype", "--window=999990:1000000"],
+                       ["resolve", *Q84, "--etype", "--window=999991:1000001"],
+                       "window '999991:1000001' must lie in -1000000..1000000"),
+}
 
 
-HUGE_AMBIENT = ["--ambient", "p99999999", "-d", "1", "-g", "0"]
+@pytest.mark.parametrize("case", DOMAIN)
+def test_input_domain_at_each_bound_and_one_past_it(case, capsys):
+    at, past, message = DOMAIN[case]
+    rows = (["--rows=ambient"], ["--rows=ideal"], ["--rows=full"]) if at[0] == "table" else ([],)
+    for extra in rows:
+        start = time.perf_counter()
+        code, out, err = run(capsys, *at, *extra)
+        assert time.perf_counter() - start < 0.5, extra
+        assert code in (EXIT_OK, EXIT_INFEASIBLE), (extra, err)
+        assert (out == "") == (code == EXIT_INFEASIBLE), extra
+        assert run(capsys, *past, *extra) == (EXIT_USAGE, "", f"error: {message}\n"), extra
 
 
-def first_unprintable_twist(dim: int) -> int:
-    """The first n >= 0 at which C(dim + n, dim) has more digits than Python prints."""
-    n, limit = 0, 10 ** sys.get_int_max_str_digits()
-    while h0_proj(dim, n) < limit:
-        n += 1
-    return n
+def test_a_long_ci_list_is_refused_before_any_degree_is_converted(tmp_path, capsys):
+    """A scenario line has no length limit, so a list is counted before any
+    entry is converted: 400 degrees of 4,000 digits are refused at once."""
+    path = tmp_path / "long.ql"
+    path.write_text("ci=" + ",".join(["9" * 4000] * 400) + "\n")
+    start = time.perf_counter()
+    got = run(capsys, "link", "-d", "8", "-g", "4", "--scenario", str(path))
+    assert time.perf_counter() - start < 0.05
+    assert got == (EXIT_USAGE, "", "error: --ci needs two or three hypersurface degrees\n")
 
 
-TOO_LONG = (
-    f"error: a value to print has more than {sys.get_int_max_str_digits()} digits; "
-    "narrow the window or the twists\n"
-)
-
-
-def counted_comb(monkeypatch) -> list:
-    """Patch math.comb to record the first argument of every call."""
-    comb, calls = math.comb, []
-    monkeypatch.setattr(math, "comb", lambda n, k: calls.append(n) or comb(n, k))
-    return calls
-
-
-@pytest.mark.parametrize("rows, fmt", [("ambient", "text"), ("ideal", "csv"), ("full", "json")])
-def test_tables_stop_at_the_first_value_too_long_to_print(rows, fmt, capsys, monkeypatch):
-    """Each count of the window used to be built before printing failed, so
-    the time grew with the ambient dimension, and then only the counts up to
-    the first one too long to print.  Now a bracket on the top twist's count
-    decides, and the window's counts are only compared with bounds: none is
-    built, whatever the window's top twist."""
-    first = first_unprintable_twist(99999999)
-    assert first == 776
-    calls = counted_comb(monkeypatch)
-    for top in (999, 3999):
-        calls.clear()
-        code, out, err = run(capsys, "table", *HUGE_AMBIENT, "--rows", rows,
-                             f"--window=0:{top}", "--format", fmt)
-        assert (code, out, err) == (EXIT_USAGE, "", TOO_LONG)
-        assert calls == []
-    # the bracket leaves the counts next to the limit to an exact comparison
-    for twist, code in ((first - 1, EXIT_OK), (first, EXIT_USAGE)):
-        got = run(capsys, "table", *HUGE_AMBIENT, "--rows", rows, f"--window={twist}:{twist}",
-                  "--format", fmt)
-        assert got[0] == code and got[2] == ("" if code == EXIT_OK else TOO_LONG)
-
-
-@pytest.mark.parametrize("dim", [300000, 1000000, 3000000])
-@pytest.mark.parametrize("rows", ["ambient", "ideal", "full"])
-def test_one_twist_window_on_a_huge_ambient_builds_no_count(rows, dim, capsys, monkeypatch):
-    """C(2m, m) has about 0.6 m digits, and building it used to come before
-    the print check failed; a bound on its size now decides without it."""
-    calls = counted_comb(monkeypatch)
-    code, out, err = run(capsys, "table", "--ambient", f"p{dim}", "-d", "1", "-g", "0",
-                         "--rows", rows, f"--window={dim}:{dim}")
-    assert (code, out, err) == (EXIT_USAGE, "", TOO_LONG)
-    assert calls == []
-
-
-@pytest.mark.parametrize("ambient", ["p3", "p4", "p500", "quadric3"])
-@pytest.mark.parametrize("rows", ["ambient", "ideal", "full"])
-def test_short_count_windows_build_each_count_once(ambient, rows, capsys, monkeypatch):
-    """With every count of the window short, the check for counts too long
-    to print builds none on P^m, where a bracket decides them: the math.comb
-    calls are the table's own, as in a run with no digit cap.  On Q the
-    check builds only the top twist's count, a cubic, exactly."""
-    argv = ["table", "--ambient", ambient, "-d", "3", "-g", "0", "--rows", rows,
-            "--window=-3:40", "--format", "csv"]
-    calls = counted_comb(monkeypatch)
-    capped = run(capsys, *argv), list(calls)
-    calls.clear()
-    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
-    uncapped = run(capsys, *argv), calls
-    top_count = [40 + 4, 40 + 2] if ambient == "quadric3" else []
-    assert capped == (uncapped[0], top_count + uncapped[1])
-    assert capped[0][0] == EXIT_OK
-
-
-def test_stopping_early_keeps_what_the_full_table_reports(tmp_path, capsys, monkeypatch):
-    # a bad format named by a scenario still wins over a value too long to print
+def test_refusals_keep_their_order_at_the_bounds(tmp_path, capsys):
+    # a bad format named by a scenario is refused, with nothing printed,
+    # after a table at the bounds is computed; a computation error still wins
     path = tmp_path / "fmt.ql"
     path.write_text("format = xml\n")
-    code, out, err = run(capsys, "table", *HUGE_AMBIENT, "--rows", "ideal",
-                         "--window=0:3999", "--scenario", str(path))
-    assert (code, out, err) == (EXIT_USAGE, "", "error: unknown format 'xml'\n")
-    # a negative ideal count below the first long value still exits 2
+    argv = ["table", "--ambient", "p4", "-d", "1000000000", "-g", "0", "--scenario", str(path)]
+    assert run(capsys, *argv, BIG) == (EXIT_USAGE, "", "error: unknown format 'xml'\n")
+    assert run(capsys, *argv, "--rows", "ideal")[:2] == (EXIT_INFEASIBLE, "")
+    # a negative ideal count on an in-domain class still exits 2 with its twist
     for rows in ("ideal", "full"):
-        code, out, err = run(capsys, "table", "--ambient", "p99999999", "-d", "1000000000",
-                             "-g", "0", "--rows", rows, "--window=0:3999")
-        assert (code, out) == (EXIT_INFEASIBLE, "")
-        assert err == "infeasible: section count -900000001 < 0 at twist 1: no such curve\n"
+        assert run(capsys, "table", "--ambient", "p4", "-d", "1000000000", "-g", "0",
+                   "--rows", rows, "--window=0:3999") == (
+            EXIT_INFEASIBLE, "",
+            "infeasible: section count -999999996 < 0 at twist 1: no such curve\n",
+        )
     # full tables still refuse P2 before counting, even where its ideal is negative
     code, out, err = run(capsys, "table", "--ambient", "p2", "-d", "8", "-g", "4", "--rows", "full")
     assert (code, out) == (EXIT_USAGE, "")
     assert err == "error: full tables need an ambient of dimension >= 3\n"
-    # a walked window with no long value prints what an unlimited run prints
-    argv = ["table", *HUGE_AMBIENT, "--rows", "full", "--window=0:500"]
-    limited = run(capsys, *argv)
-    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
-    assert run(capsys, *argv) == limited
-    assert limited[0] == EXIT_OK
 
 
 def test_scenario_file_supplies_defaults(tmp_path, capsys):

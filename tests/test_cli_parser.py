@@ -68,7 +68,7 @@ def reference_parser() -> argparse.ArgumentParser:
     table = sub.add_parser(
         "table", parents=[windowed], help="print cohomology tables for a curve class"
     )
-    table.add_argument("--ambient", default=None, help="p2, p3, p4, ... or quadric3")
+    table.add_argument("--ambient", default=None, help="p2, p3, p4 or quadric3 (q)")
     table.add_argument("-d", "--degree", type=int, default=None)
     table.add_argument("-g", "--genus", type=int, default=None)
     table.add_argument(

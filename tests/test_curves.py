@@ -9,7 +9,6 @@ replaced, and regularity on the stored rows with the walk over a cell
 dict that it replaced, all kept below.
 """
 
-import json
 import math
 import random
 
@@ -30,12 +29,8 @@ from quadliaison import (
     ambient_table,
     full_ideal_table,
     ideal_h0_table,
-    klein_parity_check,
     nonspecial_threshold,
     parse_window,
-    plane_genus,
-    proj_space,
-    quadric_surface_genus_spectrum,
     regularity,
     render_value_csv,
     render_value_row,
@@ -43,8 +38,12 @@ from quadliaison import (
     section_table,
 )
 from quadliaison import h0_proj, h0_quadric3
-from quadliaison.cli import main
 from quadliaison.curves import MAX_WINDOW_TWISTS
+from quadliaison.verify import (
+    _klein_parity_check as klein_parity_check,
+    _plane_genus as plane_genus,
+    _quadric_surface_genus_spectrum as quadric_surface_genus_spectrum,
+)
 
 C84_P4 = CurveClass(P4, 8, 4)
 C84_Q = CurveClass(QUADRIC3, 8, 4)
@@ -297,7 +296,7 @@ def test_obstructions():
 
 def test_obstruction_matches_scan_on_random_classes():
     rng = random.Random(234)
-    ambients = (P2, P3, P4, proj_space(5), QUADRIC3)
+    ambients = (P2, P3, P4, QUADRIC3)
     degrees = list(range(1, 25)) + [2_000, 3_000]
     degrees += [rng.randint(25, 10 ** rng.randint(2, 3)) for _ in range(12)]
     for ambient in ambients:
@@ -438,7 +437,7 @@ def _same_table_or_witness(new, old):
 def test_row_tables_and_renderers_match_the_twist_at_a_time_code():
     rng = random.Random(531)
     checked = witnesses = 0
-    for ambient in (P2, P3, P4, proj_space(5), QUADRIC3):
+    for ambient in (P2, P3, P4, QUADRIC3):
         # at the least feasible genus, one and more above it, and below it
         every_class = []
         for d in (1, 2, 3, 8, rng.randint(4, 40), rng.randint(41, 400)):
@@ -549,27 +548,30 @@ def test_directly_built_tables_render_like_the_old_renderers():
                          ids=["past+1e19", "past-1e19"])
 @pytest.mark.parametrize("ambient", ["p4", "q"])
 @pytest.mark.parametrize("rows", ["ambient", "section", "ideal", "full"])
-def test_tables_past_the_index_size_print_the_per_twist_values(rows, ambient, window, capsys):
-    """Zero runs are sized by clamped counts, so windows beyond 2^63 on
-    either side print every row kind instead of raising OverflowError."""
+def test_tables_past_the_index_size_print_the_per_twist_values(rows, ambient, window):
+    """Zero runs are sized by clamped counts, so library windows beyond 2^63
+    on either side build and print every row kind instead of raising
+    OverflowError.  (The CLI reads window ends in -10^6..10^6 only.)"""
     lo, hi = window
     amb = QUADRIC3 if ambient == "q" else P4
     curve = CurveClass(amb, 8, 4)
-    rc = main(["table", f"--ambient={ambient}", "-d", "8", "-g", "4", f"--rows={rows}",
-               f"--window={lo}:{hi}", "--format=json"])
-    out, err = capsys.readouterr()
-    assert (rc, err) == (0, "")
-    record = json.loads(out)
     twists = range(lo, hi + 1)
     if rows == "full":
+        table = full_ideal_table(curve, window)
         cells = old_full_cells(curve, window)
-        assert record["rows"] == {
-            f"h{i}": [[n, cells[(i, n)]] for n in twists] for i in (3, 2, 1, 0)
-        }
+        assert table.cells == cells
+        assert table.render_grid() == old_grid(window, cells)
+        assert table.render_csv() == old_csv(window, cells)
         return
-    per_twist = {"ambient": amb.h0, "section": lambda n: old_sections(curve, n),
-                 "ideal": lambda n: old_ideal(curve, n)}[rows]
-    assert record["values"] == [[n, per_twist(n)] for n in twists]
+    build, per_twist = {
+        "ambient": (lambda: ambient_table(amb, window), amb.h0),
+        "section": (lambda: section_table(curve, window), lambda n: old_sections(curve, n)),
+        "ideal": (lambda: ideal_h0_table(curve, window), lambda n: old_ideal(curve, n)),
+    }[rows]
+    values = build()
+    assert values == {n: per_twist(n) for n in twists}
+    assert render_value_row(values) == old_value_row(values)
+    assert render_value_csv(values) == old_value_csv(values)
 
 
 def test_table_work_does_not_grow_with_the_window(monkeypatch):

@@ -11,14 +11,13 @@ shifted twist.
 """
 
 import math
-import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import factorial
 
 import pytest
 
-from quadliaison import QUADRIC3, binom, hilbert, h0_proj, h0_quadric3, h0_spinor, proj_space
+from quadliaison import binom, hilbert, h0_proj, h0_quadric3, h0_spinor
 from quadliaison.hilbert import SPINOR_C1, SPINOR_DUAL_SHIFT, SPINOR_RANK
 
 # -- Hirzebruch-Riemann-Roch on Q -------------------------------------------
@@ -259,18 +258,3 @@ def test_hrr_pins_spinor_constants():
     omega = -chern_classes_of_tq()[1]
     for k in range(-20, 20):
         assert hrr_chi_spinor(k) == -hrr_chi_spinor(SPINOR_DUAL_SHIFT - k + omega), k
-
-
-@pytest.mark.parametrize("dim", [2, 3, 4, 50, 10**6, None], ids=lambda d: f"p{d}" if d else "q")
-def test_h0_at_least_agrees_with_the_exact_count(dim):
-    """Ambient.h0_at_least against the exact count, on bounds next to it,
-    twice or half of it, and powers of 2 and 10 from 2 to 10^4300."""
-    ambient = QUADRIC3 if dim is None else proj_space(dim)
-    rng = random.Random(f"at-least-{dim}")
-    twists = [*range(-3, 40), *(rng.randint(40, 3000) for _ in range(25))]
-    for k in twists:
-        count = ambient.h0(k)
-        near = {count - 1, count, count + 1, 2 * count, count // 2, count // 2 + 1}
-        far = {2 ** rng.randint(1, 15000), 10 ** rng.randint(1, 4300)}
-        for bound in sorted(b for b in near | far if b >= 1):
-            assert ambient.h0_at_least(k, bound) == (count >= bound), (k, bound)

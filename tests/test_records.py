@@ -111,6 +111,7 @@ def test_equality_and_hash_by_value(build, other):
 E_TYPE = ResolutionFlavor.E_TYPE
 VALIDATION = [
     (lambda: Ambient("proj", 1), "projective ambient needs dim >= 2, got 1"),
+    (lambda: Ambient("proj", 5), "projective ambient needs dim <= 4, got 5"),
     (lambda: Ambient("quadric3", 4), "the quadric threefold has dimension 3"),
     (lambda: Ambient("cone", 3), "unknown ambient kind 'cone'"),
     (lambda: CurveClass(P4, 0, 0), "degree must be positive, got 0"),

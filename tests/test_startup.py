@@ -22,8 +22,10 @@ SRC = str(Path(__file__).parent.parent / "src")
 # What the package root re-exported when it imported every submodule eagerly,
 # less the two atom classes that sheaves no longer has, the one-line
 # wrappers zero_sheaf and all_ok, the per-twist counts curve_sections and
-# ideal_h0, which leave curves only as rows, and MATCH_WINDOW, since
-# classification defaults to DEFAULT_WINDOW.
+# ideal_h0, which leave curves only as rows, MATCH_WINDOW, since
+# classification defaults to DEFAULT_WINDOW, and plane_genus,
+# quadric_surface_genus_spectrum and klein_parity_check, which only the
+# reference suite uses and keeps private.
 REEXPORTS = {
     "ambient": "P2 P3 P4 QUADRIC3 Ambient parse_ambient proj_space",
     "classify": "CANDIDATE_CAP DEFAULT_TWIST_BOUNDS GeneratorEstimate "
@@ -31,8 +33,7 @@ REEXPORTS = {
     "kernel_table_from_resolution match_acm_kernel rank4_candidate_count",
     "curves": "DEFAULT_WINDOW CohomTable CurveClass Feasibility RegularityReport Window "
     "acm_embedding_obstruction ambient_table full_ideal_table ideal_h0_table "
-    "klein_parity_check nonspecial_threshold parse_window plane_genus "
-    "quadric_surface_genus_spectrum regularity render_value_csv render_value_row rr_chi "
+    "nonspecial_threshold parse_window regularity render_value_csv render_value_row rr_chi "
     "section_table",
     "errors": "InconsistencyError InfeasibleError MappingConeInconsistent "
     "NegativeDimension QLError RangeTooLarge",
