@@ -29,6 +29,7 @@ from quadliaison.cli import (
 from quadliaison.ambient import QUADRIC3
 from quadliaison.classify import etype_candidates
 from quadliaison.curves import MAX_WINDOW_TWISTS, CurveClass
+from quadliaison.hilbert import h0_proj
 from quadliaison.sheaves import line_bundle, spinor
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -479,6 +480,20 @@ def test_window_width_is_capped_from_every_source(source, monkeypatch, tmp_path,
     )
 
 
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_value_too_long_to_print_is_a_readable_usage_error(fmt, capsys):
+    # C(10^12 + 500, 500) has about 6,000 digits, past Python's 4,300; a
+    # window that far out is now refused when read, in every format, and the
+    # largest count the domain allows, C(10^6 + 4, 4) on P4, has 23 digits
+    assert len(str(h0_proj(4, 10**6))) == 23
+    code, out, err = run(
+        capsys, "table", "--ambient", "p4", "-d", "1", "-g", "0", "--rows", "ambient",
+        "--window=1000000000000:1000000000000", "--format", fmt,
+    )
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: window '1000000000000:1000000000000' must lie in -1000000..1000000\n"
+
+
 # The input domain: argv at a bound, which must exit 0 or 2 within 0.5 s,
 # argv one past it, and the message it must exit 1 with.  A `table` argv
 # runs with each of --rows ambient, ideal and full.  The lower bounds of a
@@ -575,7 +590,7 @@ def test_a_long_ci_list_is_refused_before_any_degree_is_converted(tmp_path, caps
     assert got == (EXIT_USAGE, "", "error: --ci needs two or three hypersurface degrees\n")
 
 
-def test_refusals_keep_their_order_at_the_bounds(tmp_path, capsys):
+def test_stopping_early_keeps_what_the_full_table_reports(tmp_path, capsys):
     # a bad format named by a scenario is refused, with nothing printed,
     # after a table at the bounds is computed; a computation error still wins
     path = tmp_path / "fmt.ql"
