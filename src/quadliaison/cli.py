@@ -14,9 +14,10 @@ read one; a scenario file sets per-run defaults; flags win.
 Input domain.  Each value is checked when it is read, the same way from a
 flag, a scenario file or QL_WINDOW, and one outside the domain exits 1
 with its key's message: the ambient is p2, p3, p4 or quadric3 (q); the
-degree and genus lie in -10^9..10^9; --ci has two or three degrees and
---via two twists, each in -10^6..10^6; a window spans at most 10,000
-twists, both ends in -10^6..10^6.
+degree and genus lie in -10^9..10^9, and a curve, ``link``'s included,
+needs degree >= 1 and genus >= 0; --ci has two or three degrees and --via
+two twists, each in -10^6..10^6; a window spans at most 10,000 twists,
+both ends in -10^6..10^6.
 
 Commands import what they use beyond ambient, curves and errors when they
 run: ``table`` loads no other module, and only ``verify`` loads the suite.
@@ -290,7 +291,7 @@ def cmd_resolve(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    from .verify import run_reference_checks
+    from .verify import EXPECTED_DISCREPANCY, FAIL, PASS, run_reference_checks
 
     run = _Run(args)
     results = run_reference_checks()
@@ -299,9 +300,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         count = [r.status for r in results].count
         lines = [f"{r.status:<21}  {r.name}: {r.detail}\n" for r in results]
         return "".join(lines) + (
-            f"{len(results)} checks: {count('PASS')} pass, "
-            f"{count('EXPECTED-DISCREPANCY')} expected-discrepancy, "
-            f"{count('FAIL')} fail\n"
+            f"{len(results)} checks: {count(PASS)} pass, "
+            f"{count(EXPECTED_DISCREPANCY)} expected-discrepancy, "
+            f"{count(FAIL)} fail\n"
         )
 
     def csv_text() -> str:

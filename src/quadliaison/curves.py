@@ -69,11 +69,16 @@ class CurveClass(
     __slots__ = ()
 
     def __new__(cls, ambient: Ambient, degree: int, genus: int) -> CurveClass:
+        cls.check_invariants(degree, genus)
+        return super().__new__(cls, ambient, degree, genus)
+
+    @staticmethod
+    def check_invariants(degree: int, genus: int) -> None:
+        """ValueError unless degree >= 1 and genus >= 0, on whatever ambient."""
         if degree < 1:
             raise ValueError(f"degree must be positive, got {degree}")
         if genus < 0:
             raise ValueError(f"genus must be nonnegative, got {genus}")
-        return super().__new__(cls, ambient, degree, genus)
 
     def label(self) -> str:
         return f"({self.degree},{self.genus}) in {self.ambient.label()}"

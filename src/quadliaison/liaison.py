@@ -56,8 +56,10 @@ def quadric_linkage(a: int, b: int) -> CILinkage:
 
 
 def ci_residual(degree: int, genus: int, linkage: CILinkage) -> tuple[int, int]:
-    """Degree and genus of the curve linked to (degree, genus) through the
-    complete intersection; raises when the residual invariants are impossible."""
+    """Degree and genus of the curve linked to (degree, genus) through the complete
+    intersection.  ValueError for a class no curve has, as CurveClass raises, and
+    InfeasibleError when the residual invariants are impossible."""
+    CurveClass.check_invariants(degree, genus)
     residual_degree = linkage.total_degree - degree
     if residual_degree <= 0:
         raise InfeasibleError(f"residual degree {residual_degree} is not positive")

@@ -29,6 +29,7 @@ from quadliaison.cli import (
 from quadliaison.ambient import QUADRIC3
 from quadliaison.classify import etype_candidates
 from quadliaison.curves import MAX_WINDOW_TWISTS, CurveClass
+from quadliaison.errors import MappingConeInconsistent
 from quadliaison.hilbert import h0_proj
 from quadliaison.sheaves import line_bundle, spinor
 
@@ -323,6 +324,52 @@ def test_verify_fails_when_the_documented_discrepancy_changes_shape(
     assert out.endswith("40 checks: 39 pass, 0 expected-discrepancy, 1 fail\n")
 
 
+# indices of the rows of the reference table compared with an expected value
+PLAIN_ROWS = [i for i, (_, _, expected) in enumerate(verify._CHECKS)
+              if expected is not verify._OWN_VERDICT]
+
+
+def changed_verify_lines(out: str) -> dict[int, str]:
+    """The lines of `ql verify` output that differ from the golden, by index."""
+    got, want = out.splitlines(), golden("verify.txt").splitlines()
+    assert len(got) == len(want) == 41
+    return {i: line for i, (line, old) in enumerate(zip(got, want)) if line != old}
+
+
+@pytest.mark.parametrize("index", PLAIN_ROWS, ids=lambda i: verify._CHECKS[i][0])
+def test_changing_one_expected_value_fails_exactly_that_line(index, monkeypatch, capsys):
+    """A plain row compares its thunk's value with its expected one and
+    nothing else: a wrong expected value fails that line alone, with exit 3."""
+    name, thunk, _ = verify._CHECKS[index]
+    checks = list(verify._CHECKS)
+    checks[index] = (name, thunk, "a value no check computes")
+    monkeypatch.setattr(verify, "_CHECKS", tuple(checks))
+    code, out, _ = run(capsys, "verify")
+    assert code == EXIT_INCONSISTENT
+    got = golden("verify.txt").splitlines()[index].split(": ", 1)[1].partition(" (expected ")[0]
+    assert changed_verify_lines(out) == {
+        index: f"{'FAIL':<21}  {name}: {got} (expected a value no check computes)",
+        40: "40 checks: 38 pass, 1 expected-discrepancy, 1 fail",
+    }
+
+
+def test_a_failing_mapping_cone_fails_both_ntype_lines_with_its_message(monkeypatch, capsys):
+    """MappingConeInconsistent from the mapping cone fails the two rows that
+    build it, with the exception's message, and no other line changes."""
+    def inconsistent(*args):
+        raise MappingConeInconsistent(2, 5, 6)
+
+    monkeypatch.setattr(verify, "mapping_cone_n_from_e", inconsistent)
+    code, out, _ = run(capsys, "verify")
+    assert code == EXIT_INCONSISTENT
+    message = "consistency check failed at twist 2: 5 != 6"
+    assert changed_verify_lines(out) == {
+        28: f"{'FAIL':<21}  ntype-derived-84: {message}",
+        29: f"{'FAIL':<21}  ntype-roundtrip: {message}",
+        40: "40 checks: 37 pass, 1 expected-discrepancy, 2 fail",
+    }
+
+
 def run_module(module, *argv):
     """``python -m module argv`` in a fresh interpreter with ``src`` on the path."""
     src = str(Path(__file__).parent.parent / "src")
@@ -498,8 +545,8 @@ def test_value_too_long_to_print_is_a_readable_usage_error(fmt, capsys):
 # argv one past it, and the message it must exit 1 with.  A `table` argv
 # runs with each of --rows ambient, ideal and full.  The lower bounds of a
 # curve's degree and genus (1 and 0) and of a --ci degree (1) keep their
-# messages from CurveClass and CILinkage, so only `link` and the E-type's
-# unused --via reach the lower bounds of the domain itself.
+# messages from CurveClass and CILinkage, `link` included, so only the
+# E-type's unused --via reaches the lower bound of the domain itself.
 BIG, LOW = "--window=990001:1000000", "--window=-1000000:-990001"
 Q84 = ["--ambient", "q", "-d", "8", "-g", "4"]
 DOMAIN = {
@@ -512,9 +559,9 @@ DOMAIN = {
     "degree-link": (["link", "-d", "1000000000", "-g", "0", "--ci", "1000000,1000000,1000000"],
                     ["link", "-d", "1000000001", "-g", "0", "--ci", "1000000,1000000,1000000"],
                     "degree must lie in -1000000000..1000000000, got 1000000001"),
-    "degree-link-low": (["link", "-d=-1000000000", "-g", "0", "--ci", "2,2,3"],
-                        ["link", "-d=-1000000001", "-g", "0", "--ci", "2,2,3"],
-                        "degree must lie in -1000000000..1000000000, got -1000000001"),
+    "degree-link-low": (["link", "-d", "1", "-g", "0", "--ci", "2,2,3"],
+                        ["link", "-d", "0", "-g", "0", "--ci", "2,2,3"],
+                        "degree must be positive, got 0"),
     "degree-resolve": (["resolve", "--ambient", "q", "-d", "1000000000", "-g", "0", "--etype"],
                        ["resolve", "--ambient", "q", "-d", "1000000001", "-g", "0", "--etype"],
                        "degree must lie in -1000000000..1000000000, got 1000000001"),
@@ -524,9 +571,9 @@ DOMAIN = {
     "genus-link": (["link", "-d", "8", "-g", "1000000000", "--ci", "2,2,3"],
                    ["link", "-d", "8", "-g", "1000000001", "--ci", "2,2,3"],
                    "genus must lie in -1000000000..1000000000, got 1000000001"),
-    "genus-link-low": (["link", "-d", "8", "-g=-1000000000", "--ci", "2,2,3"],
-                       ["link", "-d", "8", "-g=-1000000001", "--ci", "2,2,3"],
-                       "genus must lie in -1000000000..1000000000, got -1000000001"),
+    "genus-link-low": (["link", "-d", "8", "-g", "0", "--ci", "2,2,3"],
+                       ["link", "-d", "8", "-g=-1", "--ci", "2,2,3"],
+                       "genus must be nonnegative, got -1"),
     "genus-resolve": (["resolve", "--ambient", "q", "-d", "1000000000", "-g", "1000000000",
                        "--etype"],
                       ["resolve", "--ambient", "q", "-d", "1000000000", "-g", "1000000001",
@@ -577,6 +624,21 @@ def test_input_domain_at_each_bound_and_one_past_it(case, capsys):
         assert code in (EXIT_OK, EXIT_INFEASIBLE), (extra, err)
         assert (out == "") == (code == EXIT_INFEASIBLE), extra
         assert run(capsys, *past, *extra) == (EXIT_USAGE, "", f"error: {message}\n"), extra
+
+
+@pytest.mark.parametrize("degree, genus, message", [
+    ("-1000000001", "0", "degree must lie in -1000000000..1000000000, got -1000000001"),
+    ("-1000000000", "0", "degree must be positive, got -1000000000"),
+    ("-5", "-3", "degree must be positive, got -5"),
+    ("8", "-3", "genus must be nonnegative, got -3"),
+])
+def test_link_refuses_what_is_past_the_domain_then_a_class_no_curve_has(
+    degree, genus, message, capsys
+):
+    """The domain is read first, then `link` refuses a degree below 1 or a
+    genus below 0 as CurveClass does, instead of printing a residual."""
+    assert run(capsys, "link", f"-d={degree}", f"-g={genus}", "--ci", "2,2,3") == (
+        EXIT_USAGE, "", f"error: {message}\n")
 
 
 def test_a_long_ci_list_is_refused_before_any_degree_is_converted(tmp_path, capsys):

@@ -73,6 +73,11 @@ def test_ci_residual_errors():
         ci_residual(8, 4, CILinkage(3, (2, 4)))
     with pytest.raises(InfeasibleError, match="residual genus -2 < 0"):
         ci_residual(7, 0, quadric_linkage(2, 3))
+    # a class no curve has is refused with CurveClass's message, before its residual
+    with pytest.raises(ValueError, match="^degree must be positive, got -5$"):
+        ci_residual(-5, 0, quadric_linkage(2, 3))
+    with pytest.raises(ValueError, match="^genus must be nonnegative, got -3$"):
+        ci_residual(8, -3, quadric_linkage(2, 3))
 
 
 def test_ci_residual_involution_and_sign_symmetry():
