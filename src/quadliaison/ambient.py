@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from .errors import _echo
 from .hilbert import h0_proj, h0_proj_row, h0_quadric3, h0_quadric3_row
 
 
@@ -67,7 +68,7 @@ _LABELS = {"p2": P2, "p3": P3, "p4": P4, "quadric3": QUADRIC3, "q": QUADRIC3}
 
 def parse_ambient(text: str) -> Ambient:
     """Parse an ambient label, in any case: ``p2``, ``p3``, ``p4``, ``quadric3`` or ``q``."""
-    try:
-        return _LABELS[text.strip().lower()]
-    except KeyError:
-        raise ValueError(f"unknown ambient {text!r} (expected p2, p3, p4 or quadric3)") from None
+    ambient = _LABELS.get(text.strip().lower())
+    if ambient is None:
+        raise ValueError(f"unknown ambient {_echo(text)} (expected p2, p3, p4 or quadric3)")
+    return ambient

@@ -31,20 +31,10 @@ import sys
 from typing import TYPE_CHECKING
 
 from .ambient import Ambient, parse_ambient
-from .curves import (
-    DEFAULT_WINDOW,
-    MAX_TWIST,
-    CurveClass,
-    Window,
-    ambient_table,
-    full_ideal_table,
-    ideal_h0_table,
-    parse_window,
-    render_value_csv,
-    render_value_row,
-    section_table,
-)
-from .errors import InconsistencyError, InfeasibleError
+from .curves import (DEFAULT_WINDOW, MAX_TWIST, CurveClass, Window, _csv, _csv_field, ambient_table,
+                     full_ideal_table, ideal_h0_table, parse_window, render_value_csv,
+                     render_value_row, section_table)
+from .errors import InconsistencyError, InfeasibleError, _echo
 
 if TYPE_CHECKING:
     from .liaison import ResolutionTriple
@@ -76,7 +66,7 @@ _LENGTHS = {
 def _bounded(key: str, value: int) -> int:
     bound = _BOUNDS[key]
     if not -bound <= value <= bound:
-        raise ValueError(f"{key} must lie in -{bound}..{bound}, got {value}")
+        raise ValueError(f"{key} must lie in -{bound}..{bound}, got {_echo(value)}")
     return value
 
 
@@ -89,7 +79,7 @@ def load_scenario(path: str) -> dict[str, str]:
             if not line:
                 continue
             if "=" not in line:
-                raise ValueError(f"scenario line is not key=value: {raw.strip()!r}")
+                raise ValueError(f"scenario line is not key=value: {_echo(raw.strip())}")
             key, value = line.split("=", 1)
             out[key.strip()] = value.strip()
     return out
@@ -121,7 +111,7 @@ class _Run:
         try:
             number = int(value)
         except ValueError:
-            raise ValueError(f"{key} must be an integer, got {value!r}") from None
+            raise ValueError(f"{key} must be an integer, got {_echo(value)}") from None
         return _bounded(key, number)
 
     def window(self) -> Window:
@@ -146,9 +136,7 @@ class _Run:
         try:
             values = tuple(map(int, parts))
         except ValueError:
-            raise ValueError(
-                f"{key} must be comma-separated integers, got {text!r}"
-            ) from None
+            raise ValueError(f"{key} must be comma-separated integers, got {_echo(text)}") from None
         if len(values) not in lengths:
             raise ValueError(message)
         return tuple(_bounded(key, value) for value in values)
@@ -161,7 +149,7 @@ class _Run:
         fmt = self.get("format", "text")
         renderers = {"text": text, "csv": csv, "json": lambda: _json_text(record())}
         if fmt not in renderers:
-            raise ValueError(f"unknown format {fmt!r}")
+            raise ValueError(f"unknown format {_echo(fmt)}")
         print(renderers[fmt](), end="")
 
 
@@ -208,7 +196,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     elif rows == "ideal":
         values = ideal_h0_table(curve, window)
     else:
-        raise ValueError(f"unknown rows selection {rows!r}")
+        raise ValueError(f"unknown rows selection {_echo(rows)}")
 
     def record() -> dict:
         payload = {"row": rows, "window": list(window),
@@ -228,7 +216,7 @@ def cmd_link(args: argparse.Namespace) -> int:
     degrees = run.int_list("ci")
     linkage = CILinkage(len(degrees) + 1, degrees)
     d2, g2 = ci_residual(run.int_of("degree"), run.int_of("genus"), linkage)
-    run.emit(lambda: f"{d2} {g2}\n", lambda: f"degree,genus\n{d2},{g2}\n",
+    run.emit(lambda: f"{d2} {g2}\n", lambda: _csv("degree,genus", [f"{d2},{g2}"]),
              lambda: {"degree": d2, "genus": g2})
     return EXIT_OK
 
@@ -305,19 +293,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"{count(FAIL)} fail\n"
         )
 
-    def csv_text() -> str:
-        import csv
-        import io
+    def csv() -> str:  # a CheckResult's fields are name, status, detail
+        return _csv("name,status,detail", [",".join(map(_csv_field, r)) for r in results])
 
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["name", "status", "detail"])
-        writer.writerows([r.name, r.status, r.detail] for r in results)
-        return buffer.getvalue()
-
-    run.emit(text, csv_text, lambda: [
-        {"name": r.name, "status": r.status, "detail": r.detail} for r in results
-    ])
+    run.emit(text, csv, lambda: [r._asdict() for r in results])
     return EXIT_OK if all(r.ok for r in results) else EXIT_INCONSISTENT
 
 

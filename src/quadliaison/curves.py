@@ -29,7 +29,7 @@ from operator import ne, sub
 from typing import NamedTuple
 
 from .ambient import Ambient
-from .errors import NegativeDimension
+from .errors import NegativeDimension, _echo
 
 Window = tuple[int, int]
 
@@ -47,19 +47,20 @@ def parse_window(text: str) -> Window:
     MAX_WINDOW_TWISTS twists, each in -MAX_TWIST..MAX_TWIST."""
     parts = text.split(":")
     if len(parts) != 2:
-        raise ValueError(f"window must be lo:hi, got {text!r}")
+        raise ValueError(f"window must be lo:hi, got {_echo(text)}")
     try:
         lo, hi = int(parts[0]), int(parts[1])
     except ValueError:
-        raise ValueError(f"window must be lo:hi with integers, got {text!r}") from None
+        raise ValueError(f"window must be lo:hi with integers, got {_echo(text)}") from None
     if lo > hi:
-        raise ValueError(f"empty window {text!r}")
+        raise ValueError(f"empty window {_echo(text)}")
     if hi - lo + 1 > MAX_WINDOW_TWISTS:
         raise ValueError(
-            f"window {text!r} spans {hi - lo + 1} twists; at most {MAX_WINDOW_TWISTS} are allowed"
+            f"window {_echo(text)} spans {_echo(hi - lo + 1)} twists; "
+            f"at most {MAX_WINDOW_TWISTS} are allowed"
         )
     if lo < -MAX_TWIST or hi > MAX_TWIST:
-        raise ValueError(f"window {text!r} must lie in -{MAX_TWIST}..{MAX_TWIST}")
+        raise ValueError(f"window {_echo(text)} must lie in -{MAX_TWIST}..{MAX_TWIST}")
     return (lo, hi)
 
 
@@ -197,6 +198,11 @@ def _grid(labels: list[str], rows: list[list[str]]) -> str:
 
 def _csv(header: str, lines: list[str]) -> str:
     return "\n".join([header, *lines]) + "\n"
+
+
+def _csv_field(text: str) -> str:
+    """A ``_csv`` field: quoted, each quote doubled, if it holds a comma, quote or newline."""
+    return text if {",", '"', "\n"}.isdisjoint(text) else '"' + text.replace('"', '""') + '"'
 
 
 def render_value_row(values: dict[int, int]) -> str:

@@ -20,7 +20,7 @@ from enum import Enum
 from math import prod
 from typing import TYPE_CHECKING, NamedTuple
 
-from .curves import DEFAULT_WINDOW, CurveClass, Window, ideal_h0_table
+from .curves import DEFAULT_WINDOW, CurveClass, Window, _csv, ideal_h0_table
 from .errors import InfeasibleError, MappingConeInconsistent
 
 if TYPE_CHECKING:  # the mapping cones import sheaves, so `ql link` never loads it
@@ -140,7 +140,7 @@ class ConsistencyReport(NamedTuple):
 
     def render_csv(self) -> str:
         lines = [f"{c.twist},{c.lhs},{c.rhs},{'true' if c.ok else 'false'}" for c in self.cells]
-        return "\n".join(["n,lhs,rhs,pass", *lines]) + "\n"
+        return _csv("n,lhs,rhs,pass", lines)
 
     def render_text(self) -> str:
         fail = self.first_failure()

@@ -29,7 +29,7 @@ from quadliaison.cli import (
 from quadliaison.ambient import QUADRIC3
 from quadliaison.classify import etype_candidates
 from quadliaison.curves import MAX_WINDOW_TWISTS, CurveClass
-from quadliaison.errors import MappingConeInconsistent
+from quadliaison.errors import MappingConeInconsistent, _echo
 from quadliaison.hilbert import h0_proj
 from quadliaison.sheaves import line_bundle, spinor
 
@@ -438,6 +438,21 @@ def test_every_flag_a_command_lists_is_read(capsys, monkeypatch):
         assert listed <= read[command], (command, listed - read[command])
 
 
+def test_a_changed_genus_spectrum_fails_with_its_value_and_the_expected_one(
+    monkeypatch, capsys
+):
+    """The spectrum row's detail says "omits 4" only on a PASS; a FAIL
+    shows the spectrum it got next to the one it expects."""
+    monkeypatch.setattr(verify, "_quadric_surface_genus_spectrum", lambda d: {0, 4, 5, 8, 9})
+    code, out, _ = run(capsys, "verify")
+    assert code == EXIT_INCONSISTENT
+    assert changed_verify_lines(out) == {
+        39: f"{'FAIL':<21}  quadric-surface-spectrum: "
+            "genus spectrum {0,4,5,8,9} (expected {0,5,8,9})",
+        40: "40 checks: 38 pass, 1 expected-discrepancy, 1 fail",
+    }
+
+
 def test_unknown_command_exits_1(capsys):
     code, _, err = run(capsys, "frobnicate")
     assert code == EXIT_USAGE
@@ -650,6 +665,63 @@ def test_a_long_ci_list_is_refused_before_any_degree_is_converted(tmp_path, caps
     got = run(capsys, "link", "-d", "8", "-g", "4", "--scenario", str(path))
     assert time.perf_counter() - start < 0.05
     assert got == (EXIT_USAGE, "", "error: --ci needs two or three hypersurface degrees\n")
+
+
+def test_a_value_is_echoed_whole_up_to_40_characters():
+    assert _echo("x" * 40) == repr("x" * 40)
+    assert _echo("x" * 41) == repr("x" * 40) + "... (41 characters)"
+    assert _echo(-10**38) == str(-10**38)
+    assert _echo(10**40) == "1" + "0" * 39 + "... (41 characters)"
+
+
+def cut(value: str) -> str:
+    """How a message quotes a string value longer than 40 characters."""
+    return f"{value[:40]!r}... ({len(value)} characters)"
+
+
+NINES, LONG, CI = "9" * 4000, "x" * 100_000, ",".join(["9" * 50_000] * 3)
+TABLE = ["table", "--ambient", "q", "-d", "8", "-g", "4"]
+# A value of any length at each place a message echoes it: the argv, a
+# scenario line or None, and the message the command exits 1 with.
+LONG_VALUES = {
+    "ci-scenario": (["link", "-d", "8", "-g", "4"], "ci=" + CI,
+                    f"ci must be comma-separated integers, got {cut(CI)}"),
+    "window-digits": ([*TABLE, "--window", "1:" + "9" * 100_000], None,
+                      f"window must be lo:hi with integers, got {cut('1:' + '9' * 100_000)}"),
+    "window-colons": ([*TABLE, "--window", "1:2:" + NINES], None,
+                      f"window must be lo:hi, got {cut('1:2:' + NINES)}"),
+    "window-empty": ([*TABLE, f"--window={NINES}:1"], None, f"empty window {cut(NINES + ':1')}"),
+    "window-span": ([*TABLE, "--window", f"1:{NINES}"], None,
+                    f"window {cut('1:' + NINES)} spans {NINES[:40]}... (4000 characters) twists; "
+                    "at most 10000 are allowed"),
+    "window-range": ([*TABLE, "--window", f"{NINES}:{NINES}"], None,
+                     f"window {cut(NINES + ':' + NINES)} must lie in -1000000..1000000"),
+    "degree-text": (["link", "-d", LONG, "-g", "4", "--ci", "2,2,3"], None,
+                    f"degree must be an integer, got {cut(LONG)}"),
+    "genus-digits": (["link", "-d", "8", "-g", NINES, "--ci", "2,2,3"], None,
+                     f"genus must lie in -1000000000..1000000000, got {NINES[:40]}... "
+                     "(4000 characters)"),
+    "ambient": (["table", "--ambient", "p" * 100_000, "-d", "8", "-g", "4"], None,
+                f"unknown ambient {cut('p' * 100_000)} (expected p2, p3, p4 or quadric3)"),
+    "scenario-line": (TABLE, LONG, f"scenario line is not key=value: {cut(LONG)}"),
+    "format": ([*TABLE, "--format", LONG], None, f"unknown format {cut(LONG)}"),
+    "rows": ([*TABLE, "--rows", LONG], None, f"unknown rows selection {cut(LONG)}"),
+}
+
+
+@pytest.mark.parametrize("case", LONG_VALUES)
+def test_a_long_value_is_echoed_as_its_first_40_characters_and_its_length(
+    case, tmp_path, capsys
+):
+    """However long a refused value is, its message stays under 1 KB."""
+    argv, scenario, message = LONG_VALUES[case]
+    if scenario is not None:
+        path = tmp_path / "long.ql"
+        path.write_text(scenario + "\n")
+        argv = [*argv, "--scenario", str(path)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
+    assert len(err.encode()) < 1024
 
 
 def test_stopping_early_keeps_what_the_full_table_reports(tmp_path, capsys):

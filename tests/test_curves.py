@@ -9,6 +9,9 @@ replaced, and regularity on the stored rows with the walk over a cell
 dict that it replaced, all kept below.
 """
 
+import csv
+import io
+import itertools
 import math
 import random
 
@@ -38,7 +41,7 @@ from quadliaison import (
     section_table,
 )
 from quadliaison import h0_proj, h0_quadric3
-from quadliaison.curves import MAX_WINDOW_TWISTS
+from quadliaison.curves import MAX_WINDOW_TWISTS, _csv, _csv_field
 from quadliaison.verify import (
     _klein_parity_check as klein_parity_check,
     _plane_genus as plane_genus,
@@ -388,6 +391,27 @@ def test_row_renderers():
     assert render_value_csv(row) == (
         "n,value\n0,0\n1,0\n2,1\n3,9\n4,26\n5,54\n6,95\n"
     )
+
+
+def reference_csv(rows) -> str:
+    """The standard library's writer, as `ql verify --format csv` once used it."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()
+
+
+CSV_FIELDS = ["", "PASS", " leading space", "trailing space ", "a,b", 'say "x"', '"', '""',
+              "two\nlines", ',\n"', "{2:1, 3:4}", "O(-2) + 4*O(-3),['2*E0(-2)']", "0 -> 5*O(-3)"]
+
+
+def test_csv_fields_are_quoted_as_the_standard_writer_quotes_them():
+    """A field holding a comma, quote or newline is quoted with each quote
+    doubled; any other field, empty or space-led, is written as it is."""
+    rows = [list(row) for row in itertools.product(CSV_FIELDS, repeat=3)]
+    lines = [",".join(map(_csv_field, row)) for row in rows]
+    assert _csv(lines[0], lines[1:]) == reference_csv(rows)
+    for field in CSV_FIELDS:
+        assert _csv_field(field) + ",x\n" == reference_csv([[field, "x"]]), field
 
 
 def test_grid_renderer():

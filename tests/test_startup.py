@@ -109,6 +109,16 @@ def test_json_is_loaded_on_the_json_path_only():
     assert package_modules(loaded) == TABLE_MODULES
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--format", "csv"],
+    ["resolve", "--ambient", "q", "-d", "8", "-g", "4", "--etype", "--format", "csv"],
+], ids=["verify", "resolve"])
+def test_csv_output_loads_no_csv_module(argv):
+    loaded = loaded_by(f"from quadliaison import cli\nassert cli.main({argv!r}) == 0\n"
+                       "assert 'csv' not in sys.modules")
+    assert "csv" not in loaded
+
+
 def test_root_names_are_the_submodule_attributes():
     for module, name in REEXPORTED:
         submodule = getattr(quadliaison, module)
