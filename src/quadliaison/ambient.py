@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import _echo
 from .hilbert import h0_proj, h0_proj_row, h0_quadric3, h0_quadric3_row
 
 
-class Ambient(NamedTuple("Ambient", [("kind", str), ("dim", int)])):
+class Ambient(namedtuple("Ambient", "kind dim")):
     """Either P^n with 2 <= n <= 4 (kind ``"proj"``) or the quadric threefold
     (kind ``"quadric3"``).
 

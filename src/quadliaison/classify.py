@@ -13,9 +13,10 @@ with the window, and it may return no candidate or several.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Mapping
 from functools import lru_cache
 from itertools import combinations_with_replacement, groupby
-from typing import Mapping, NamedTuple
 
 from . import hilbert
 from .curves import (DEFAULT_WINDOW, CurveClass, Window, full_ideal_table, ideal_h0_table,
@@ -135,7 +136,7 @@ def kernel_table_from_resolution(
     return out
 
 
-class GeneratorEstimate(NamedTuple):
+class GeneratorEstimate(namedtuple("GeneratorEstimate", "counts regularity")):
     """Heuristic generator counts per degree for an ideal sheaf.
 
     New generators in degree k are counted as h0(I(k)) minus the span of
@@ -145,9 +146,7 @@ class GeneratorEstimate(NamedTuple):
     which no new generators appear.
     """
 
-    counts: dict[int, int]
-    regularity: int
-
+    __slots__ = ()
     assumes_injective_multiplication = True
 
 

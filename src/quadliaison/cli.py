@@ -28,16 +28,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import TYPE_CHECKING
 
 from .ambient import Ambient, parse_ambient
 from .curves import (DEFAULT_WINDOW, MAX_TWIST, CurveClass, Window, _csv, _csv_field, ambient_table,
                      full_ideal_table, ideal_h0_table, parse_window, render_value_csv,
                      render_value_row, section_table)
 from .errors import InconsistencyError, InfeasibleError, _echo
-
-if TYPE_CHECKING:
-    from .liaison import ResolutionTriple
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -46,10 +42,13 @@ EXIT_INCONSISTENT = 3
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse reserves status 2 for usage errors; this CLI uses 1."""
+    """argparse reserves status 2 for usage errors; this CLI uses 1.  A
+    message that quotes a long argument is cut, as ``_echo`` cuts a value."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
+        if len(message) > 300:
+            message = f"{message[:300]}... ({len(message)} characters)"
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
@@ -373,6 +372,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"inconsistent: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
     except (ValueError, OSError) as exc:
+        if getattr(exc, "filename", None) is not None:  # a file name is a value: echo it bounded
+            exc = f"[Errno {exc.errno}] {exc.strerror}: {_echo(exc.filename)}"
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -24,9 +24,9 @@ print a row's trailing zeros as one piece, because an ACM table is mostly zeros.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import namedtuple
 from itertools import accumulate, compress, count, repeat
 from operator import ne, sub
-from typing import NamedTuple
 
 from .ambient import Ambient
 from .errors import NegativeDimension, _echo
@@ -64,9 +64,7 @@ def parse_window(text: str) -> Window:
     return (lo, hi)
 
 
-class CurveClass(
-    NamedTuple("CurveClass", [("ambient", Ambient), ("degree", int), ("genus", int)])
-):
+class CurveClass(namedtuple("CurveClass", "ambient degree genus")):
     __slots__ = ()
 
     def __new__(cls, ambient: Ambient, degree: int, genus: int) -> CurveClass:
@@ -134,7 +132,7 @@ def ambient_table(ambient: Ambient, window: Window = DEFAULT_WINDOW) -> dict[int
 _GRID_ROWS = (3, 2, 1, 0)
 
 
-class CohomTable(NamedTuple):
+class CohomTable(namedtuple("CohomTable", "window rows notes", defaults=((),))):
     """Exact table h^i(I_C(n)), i in 0..3, n over a window.
 
     ``rows[i]`` holds h^i at the twists lo..hi.  A cell value of None
@@ -142,9 +140,7 @@ class CohomTable(NamedTuple):
     cells are nonnegative integers.
     """
 
-    window: Window
-    rows: tuple[list[int | None], ...]
-    notes: tuple[str, ...] = ()
+    __slots__ = ()
 
     def cell(self, i: int, n: int) -> int | None:
         lo, hi = self.window
@@ -266,9 +262,7 @@ def full_ideal_table(curve: CurveClass, window: Window = DEFAULT_WINDOW) -> Coho
     return CohomTable(window, rows, notes)
 
 
-class RegularityReport(NamedTuple):
-    regularity: int | None
-    witness: tuple[tuple[int, int], ...]
+RegularityReport = namedtuple("RegularityReport", "regularity witness")
 
 
 def regularity(table: CohomTable) -> RegularityReport:
@@ -276,21 +270,16 @@ def regularity(table: CohomTable) -> RegularityReport:
 
     Only in-window cells count as evidence, so the answer is the first
     zero of zip(h1[2:], h2[1:], h3), whose j-th entry is the diagonal of
-    m = lo + 3 + j.  An identically zero table certifies its left edge.
+    m = lo + 3 + j.
     """
-    lo = table.window[0]
     _, h1, h2, h3 = table.rows
-    if all(row.count(0) == len(row) for row in table.rows):
-        return RegularityReport(lo, ())
-    for m, diagonal in enumerate(zip(h1[2:], h2[1:], h3), lo + 3):
+    for m, diagonal in enumerate(zip(h1[2:], h2[1:], h3), table.window[0] + 3):
         if diagonal == (0, 0, 0):
             return RegularityReport(m, ((1, m - 1), (2, m - 2), (3, m - 3)))
     return RegularityReport(None, ())
 
 
-class Feasibility(NamedTuple):
-    feasible: bool
-    witness_twist: int | None = None
+Feasibility = namedtuple("Feasibility", "feasible witness_twist", defaults=(None,))
 
 
 def acm_embedding_obstruction(degree: int, genus: int, ambient: Ambient) -> Feasibility:

@@ -16,18 +16,15 @@ resolution of the original, and vice versa.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from enum import Enum
 from math import prod
-from typing import TYPE_CHECKING, NamedTuple
 
 from .curves import DEFAULT_WINDOW, CurveClass, Window, _csv, ideal_h0_table
 from .errors import InfeasibleError, MappingConeInconsistent
 
-if TYPE_CHECKING:  # the mapping cones import sheaves, so `ql link` never loads it
-    from .sheaves import SheafExpr
 
-
-class CILinkage(NamedTuple("CILinkage", [("ambient_dim", int), ("degrees", tuple[int, ...])])):
+class CILinkage(namedtuple("CILinkage", "ambient_dim degrees")):
     """Hypersurface degrees of a complete intersection curve in P^ambient_dim."""
 
     __slots__ = ()
@@ -79,10 +76,7 @@ class ResolutionFlavor(Enum):
     N_TYPE = "N-type"
 
 
-class ResolutionTriple(NamedTuple("ResolutionTriple", [
-    ("kernel", "SheafExpr"), ("middle", "SheafExpr"),
-    ("curve", CurveClass), ("flavor", ResolutionFlavor),
-])):
+class ResolutionTriple(namedtuple("ResolutionTriple", "kernel middle curve flavor")):
     """A two-term locally-free resolution 0 -> kernel -> middle -> I_C -> 0.
 
     E-type keeps the non-split summands in the kernel, N-type in the
@@ -113,22 +107,18 @@ class ResolutionTriple(NamedTuple("ResolutionTriple", [
     __str__ = render
 
 
-class CellCheck(NamedTuple):
-    twist: int
-    lhs: int
-    rhs: int
+class CellCheck(namedtuple("CellCheck", "twist lhs rhs")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
         return self.lhs == self.rhs
 
 
-class ConsistencyReport(NamedTuple):
+class ConsistencyReport(namedtuple("ConsistencyReport", "resolution window cells")):
     """Cell-by-cell audit of h0(middle(n)) - h0(kernel(n)) = h0(I_C(n))."""
 
-    resolution: ResolutionTriple
-    window: Window
-    cells: tuple[CellCheck, ...]
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

@@ -13,7 +13,7 @@ is permanent and documented, so it reports as EXPECTED-DISCREPANCY
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .ambient import P3, P4, QUADRIC3
 from .classify import etype_candidates, generator_estimate, match_acm_kernel
@@ -30,10 +30,8 @@ FAIL = "FAIL"
 EXPECTED_DISCREPANCY = "EXPECTED-DISCREPANCY"
 
 
-class CheckResult(NamedTuple):
-    name: str
-    status: str
-    detail: str
+class CheckResult(namedtuple("CheckResult", "name status detail")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

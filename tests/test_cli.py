@@ -672,6 +672,8 @@ def test_a_value_is_echoed_whole_up_to_40_characters():
     assert _echo("x" * 41) == repr("x" * 40) + "... (41 characters)"
     assert _echo(-10**38) == str(-10**38)
     assert _echo(10**40) == "1" + "0" * 39 + "... (41 characters)"
+    # past the 4,300 digits that str() converts, an integer is still echoed
+    assert _echo(-2 * 10**4300) == "-2" + "0" * 38 + "... (4302 characters)"
 
 
 def cut(value: str) -> str:
@@ -680,6 +682,7 @@ def cut(value: str) -> str:
 
 
 NINES, LONG, CI = "9" * 4000, "x" * 100_000, ",".join(["9" * 50_000] * 3)
+DIGITS = "9" * 4300  # the most digits that int() and str() convert
 TABLE = ["table", "--ambient", "q", "-d", "8", "-g", "4"]
 # A value of any length at each place a message echoes it: the argv, a
 # scenario line or None, and the message the command exits 1 with.
@@ -694,6 +697,9 @@ LONG_VALUES = {
     "window-span": ([*TABLE, "--window", f"1:{NINES}"], None,
                     f"window {cut('1:' + NINES)} spans {NINES[:40]}... (4000 characters) twists; "
                     "at most 10000 are allowed"),
+    "window-span-past-str": ([*TABLE, f"--window=-{DIGITS}:{DIGITS}"], None,
+                             f"window {cut(f'-{DIGITS}:{DIGITS}')} spans 1{NINES[:39]}... "
+                             "(4301 characters) twists; at most 10000 are allowed"),
     "window-range": ([*TABLE, "--window", f"{NINES}:{NINES}"], None,
                      f"window {cut(NINES + ':' + NINES)} must lie in -1000000..1000000"),
     "degree-text": (["link", "-d", LONG, "-g", "4", "--ci", "2,2,3"], None,
@@ -704,6 +710,8 @@ LONG_VALUES = {
     "ambient": (["table", "--ambient", "p" * 100_000, "-d", "8", "-g", "4"], None,
                 f"unknown ambient {cut('p' * 100_000)} (expected p2, p3, p4 or quadric3)"),
     "scenario-line": (TABLE, LONG, f"scenario line is not key=value: {cut(LONG)}"),
+    "scenario-path": ([*TABLE, "--scenario", LONG], None,
+                      f"[Errno 36] File name too long: {cut(LONG)}"),
     "format": ([*TABLE, "--format", LONG], None, f"unknown format {cut(LONG)}"),
     "rows": ([*TABLE, "--rows", LONG], None, f"unknown rows selection {cut(LONG)}"),
 }
@@ -721,6 +729,22 @@ def test_a_long_value_is_echoed_as_its_first_40_characters_and_its_length(
         argv = [*argv, "--scenario", str(path)]
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
+    assert len(err.encode()) < 1024
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([*TABLE, LONG], "unrecognized arguments: " + LONG),
+    ([*TABLE, "--" + LONG], "unrecognized arguments: --" + LONG),
+    ([LONG], None),  # argparse's list of choices reads differently across versions
+], ids=["stray-argument", "unknown-flag", "unknown-command"])
+def test_a_long_usage_error_is_cut_to_its_head_and_its_length(argv, message, capsys):
+    """argparse quotes what it refuses; past 300 characters its message is cut."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    usage, line = err.splitlines()
+    assert usage.startswith("usage: ql ")
+    if message is not None:
+        assert line == f"ql: error: {message[:300]}... ({len(message)} characters)"
     assert len(err.encode()) < 1024
 
 

@@ -123,11 +123,9 @@ def old_full_cells(curve, window):
 
 
 def old_regularity(window, cells):
-    """The dict walk: an all-zero table certifies lo, otherwise the first m
-    whose cells (1, m-1), (2, m-2) and (3, m-3) are known zeros."""
+    """The dict walk: the first m whose cells (1, m-1), (2, m-2) and
+    (3, m-3) are known zeros."""
     lo, hi = window
-    if all(v == 0 for v in cells.values()):
-        return RegularityReport(lo, ())
     for m in range(lo + 3, hi + 2):
         diag = tuple((i, m - i) for i in (1, 2, 3))
         if all(cells.get(key) == 0 for key in diag):
@@ -255,13 +253,24 @@ def test_regularity_paper_curves():
 
 
 def test_regularity_degenerate_and_unknown():
+    # an all-zero table certifies its first in-window diagonal, not its left edge
     zero = CohomTable((2, 5), tuple([0] * 4 for _ in range(4)))
-    assert regularity(zero).regularity == 2
+    assert regularity(zero) == RegularityReport(5, ((1, 4), (2, 3), (3, 2)))
     # unknown diagonals postpone certification
     report = regularity(full_ideal_table(CurveClass(P3, 2, 3), (0, 6)))
     assert report.regularity == 5
     all_unknown = CohomTable((0, 6), tuple([None] * 7 for _ in range(4)))
     assert regularity(all_unknown).regularity is None
+
+
+def test_regularity_of_a_line_needs_a_window_that_shows_its_diagonal():
+    """A line in P4 has h2(I(-2)) = 1, so I_C is 1-regular and not 0-regular.
+    On 0:0 every cell is 0, but no diagonal lies in the window."""
+    line = CurveClass(P4, 1, 0)
+    assert regularity(full_ideal_table(line, (0, 0))) == RegularityReport(None, ())
+    wide = full_ideal_table(line, (-2, 3))
+    assert wide.cell(2, -2) == 1
+    assert regularity(wide).regularity == 1
 
 
 def test_regularity_propagation():

@@ -102,6 +102,24 @@ def test_each_command_loads_only_its_modules(argv, extra):
     assert "json" not in loaded
 
 
+@pytest.mark.parametrize("argv", [
+    TABLE_ARGV,
+    ["link", "-d", "8", "-g", "4", "--ci", "2,2,3"],
+    ["resolve", "--ambient", "q", "-d", "8", "-g", "4", "--etype"],
+    ["verify"],
+], ids=["table", "link", "resolve", "verify"])
+def test_no_command_loads_typing_in_a_clean_interpreter(argv):
+    """Under ``python -S`` no site set-up preloads ``typing``, so this sees
+    what the package itself imports: its records are plain namedtuples."""
+    code = (
+        f"import sys\nsys.path.insert(0, {SRC!r})\nfrom quadliaison import cli\n"
+        f"assert cli.main({argv!r}) == 0\nassert 'typing' not in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_json_is_loaded_on_the_json_path_only():
     argv = TABLE_ARGV + ["--format", "json"]
     loaded = loaded_by(f"from quadliaison import cli\nassert cli.main({argv!r}) == 0")
