@@ -13,14 +13,13 @@ __version__ = "0.1.0"
 
 # submodule -> the names the package root re-exports from it
 _EXPORTS = {
-    "ambient": "P2 P3 P4 QUADRIC3 Ambient parse_ambient proj_space",
+    "ambient": "P2 P3 P4 QUADRIC3 Ambient",
     "classify": "CANDIDATE_CAP DEFAULT_TWIST_BOUNDS GeneratorEstimate"
     " enumerate_rank4_candidates etype_candidates etype_middle generator_estimate"
     " kernel_table_from_resolution match_acm_kernel rank4_candidate_count",
     "curves": "DEFAULT_WINDOW CohomTable CurveClass Feasibility RegularityReport Window"
     " acm_embedding_obstruction ambient_table full_ideal_table ideal_h0_table"
-    " nonspecial_threshold parse_window regularity render_value_csv render_value_row rr_chi"
-    " section_table",
+    " nonspecial_threshold regularity render_value_csv render_value_row rr_chi section_table",
     "errors": "InconsistencyError InfeasibleError MappingConeInconsistent NegativeDimension"
     " QLError RangeTooLarge",
     "hilbert": "binom h0_proj h0_quadric3 h0_spinor",

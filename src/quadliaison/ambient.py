@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .errors import _echo
 from .hilbert import h0_proj, h0_proj_row, h0_quadric3, h0_quadric3_row
 
 
@@ -53,22 +52,7 @@ class Ambient(namedtuple("Ambient", "kind dim")):
     __str__ = label
 
 
-def proj_space(n: int) -> Ambient:
-    """Projective n-space, 2 <= n <= 4."""
-    return Ambient("proj", n)
-
-
-P2 = proj_space(2)
-P3 = proj_space(3)
-P4 = proj_space(4)
+P2 = Ambient("proj", 2)
+P3 = Ambient("proj", 3)
+P4 = Ambient("proj", 4)
 QUADRIC3 = Ambient("quadric3", 3)
-
-_LABELS = {"p2": P2, "p3": P3, "p4": P4, "quadric3": QUADRIC3, "q": QUADRIC3}
-
-
-def parse_ambient(text: str) -> Ambient:
-    """Parse an ambient label, in any case: ``p2``, ``p3``, ``p4``, ``quadric3`` or ``q``."""
-    ambient = _LABELS.get(text.strip().lower())
-    if ambient is None:
-        raise ValueError(f"unknown ambient {_echo(text)} (expected p2, p3, p4 or quadric3)")
-    return ambient

@@ -29,16 +29,29 @@ import argparse
 import os
 import sys
 
-from .ambient import Ambient, parse_ambient
-from .curves import (DEFAULT_WINDOW, MAX_TWIST, CurveClass, Window, _csv, _csv_field, ambient_table,
-                     full_ideal_table, ideal_h0_table, parse_window, render_value_csv,
-                     render_value_row, section_table)
-from .errors import InconsistencyError, InfeasibleError, _echo
+from .ambient import P2, P3, P4, QUADRIC3, Ambient
+from .curves import (DEFAULT_WINDOW, CurveClass, Window, _csv, _csv_field, ambient_table,
+                     full_ideal_table, ideal_h0_table, render_value_csv, render_value_row,
+                     section_table)
+from .errors import InconsistencyError, InfeasibleError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 EXIT_INCONSISTENT = 3
+
+
+def _echo(value: str | int) -> str:
+    """A value as a message quotes it: a string in quotes, an integer bare,
+    whole up to 40 characters, else its first 40 and its length."""
+    try:
+        text = str(value)
+    except ValueError:  # an integer past the 4,300 digits that str() converts
+        from decimal import Decimal
+
+        text = str(Decimal(value))
+    head = repr(text[:40]) if isinstance(value, str) else text[:40]
+    return head if len(text) <= 40 else f"{head}... ({len(text)} characters)"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -52,6 +65,12 @@ class _Parser(argparse.ArgumentParser):
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
+
+#: Widest window, in twists, and largest |twist| at either end, that
+#: ``parse_window`` accepts.  Windows passed to the table functions as tuples
+#: are not capped.
+MAX_WINDOW_TWISTS = 10_000
+MAX_TWIST = 10**6
 
 # The integer keys of the input domain: the bound on each value's size,
 # and for a list key its allowed lengths with the message for any other.
@@ -69,10 +88,43 @@ def _bounded(key: str, value: int) -> int:
     return value
 
 
+_LABELS = {"p2": P2, "p3": P3, "p4": P4, "quadric3": QUADRIC3, "q": QUADRIC3}
+
+
+def parse_ambient(text: str) -> Ambient:
+    """Parse an ambient label, in any case: ``p2``, ``p3``, ``p4``, ``quadric3`` or ``q``."""
+    ambient = _LABELS.get(text.strip().lower())
+    if ambient is None:
+        raise ValueError(f"unknown ambient {_echo(text)} (expected p2, p3, p4 or quadric3)")
+    return ambient
+
+
+def parse_window(text: str) -> Window:
+    """Parse ``lo:hi`` into an inclusive twist window of at most
+    MAX_WINDOW_TWISTS twists, each in -MAX_TWIST..MAX_TWIST."""
+    parts = text.split(":")
+    if len(parts) != 2:
+        raise ValueError(f"window must be lo:hi, got {_echo(text)}")
+    try:
+        lo, hi = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise ValueError(f"window must be lo:hi with integers, got {_echo(text)}") from None
+    if lo > hi:
+        raise ValueError(f"empty window {_echo(text)}")
+    if hi - lo + 1 > MAX_WINDOW_TWISTS:
+        raise ValueError(
+            f"window {_echo(text)} spans {_echo(hi - lo + 1)} twists; "
+            f"at most {MAX_WINDOW_TWISTS} are allowed"
+        )
+    if lo < -MAX_TWIST or hi > MAX_TWIST:
+        raise ValueError(f"window {_echo(text)} must lie in -{MAX_TWIST}..{MAX_TWIST}")
+    return (lo, hi)
+
+
 def load_scenario(path: str) -> dict[str, str]:
-    """Flat key=value lines; blank lines and # comments ignored."""
+    """Flat key=value lines; blank lines, # comments and a byte-order mark are ignored."""
     out: dict[str, str] = {}
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         for raw in handle:
             line = raw.split("#", 1)[0].strip()
             if not line:

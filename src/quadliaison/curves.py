@@ -29,39 +29,11 @@ from itertools import accumulate, compress, count, repeat
 from operator import ne, sub
 
 from .ambient import Ambient
-from .errors import NegativeDimension, _echo
+from .errors import NegativeDimension
 
 Window = tuple[int, int]
 
 DEFAULT_WINDOW: Window = (-1, 8)
-
-#: Widest window, in twists, and largest |twist| at either end, that
-#: ``parse_window`` accepts.  Windows passed to the table functions as tuples
-#: are not capped.
-MAX_WINDOW_TWISTS = 10_000
-MAX_TWIST = 10**6
-
-
-def parse_window(text: str) -> Window:
-    """Parse ``lo:hi`` into an inclusive twist window of at most
-    MAX_WINDOW_TWISTS twists, each in -MAX_TWIST..MAX_TWIST."""
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise ValueError(f"window must be lo:hi, got {_echo(text)}")
-    try:
-        lo, hi = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ValueError(f"window must be lo:hi with integers, got {_echo(text)}") from None
-    if lo > hi:
-        raise ValueError(f"empty window {_echo(text)}")
-    if hi - lo + 1 > MAX_WINDOW_TWISTS:
-        raise ValueError(
-            f"window {_echo(text)} spans {_echo(hi - lo + 1)} twists; "
-            f"at most {MAX_WINDOW_TWISTS} are allowed"
-        )
-    if lo < -MAX_TWIST or hi > MAX_TWIST:
-        raise ValueError(f"window {_echo(text)} must lie in -{MAX_TWIST}..{MAX_TWIST}")
-    return (lo, hi)
 
 
 class CurveClass(namedtuple("CurveClass", "ambient degree genus")):
@@ -300,7 +272,7 @@ def acm_embedding_obstruction(degree: int, genus: int, ambient: Ambient) -> Feas
     is negative there, a second bisection over the strictly falling part
     finds the first negative twist.  Both take O(log degree) evaluations.
     """
-    CurveClass(ambient, degree, genus)  # refuses a degree < 1 or a negative genus
+    CurveClass.check_invariants(degree, genus)
 
     def slack(n: int) -> int:
         return ambient.h0(n) - rr_chi(degree, genus, n)

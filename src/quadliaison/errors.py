@@ -62,15 +62,3 @@ class RangeTooLarge(QLError, ValueError):
         self.cap = cap
         super().__init__(f"enumeration of {count} candidates exceeds cap {cap}")
 
-
-def _echo(value: str | int) -> str:
-    """A value as a message quotes it: a string in quotes, an integer bare,
-    whole up to 40 characters, else its first 40 and its length."""
-    try:
-        text = str(value)
-    except ValueError:  # an integer past the 4,300 digits that str() converts
-        from decimal import Decimal
-
-        text = str(Decimal(value))
-    head = repr(text[:40]) if isinstance(value, str) else text[:40]
-    return head if len(text) <= 40 else f"{head}... ({len(text)} characters)"

@@ -40,14 +40,12 @@ class SheafExpr:
     __slots__ = ("lines", "spinors")
 
     def __init__(self, lines: Twists = (), spinors: Twists = ()):
-        object.__setattr__(self, "lines", lines)
-        object.__setattr__(self, "spinors", spinors)
-        self.__post_init__()
+        self.__post_init__(lines, spinors)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, lines: Twists, spinors: Twists) -> None:
         # every public construction canonicalizes here; _replace_atoms skips it
-        object.__setattr__(self, "lines", _canonical(self.lines, "O"))
-        object.__setattr__(self, "spinors", _canonical(self.spinors, "E0"))
+        object.__setattr__(self, "lines", _canonical(lines, "O"))
+        object.__setattr__(self, "spinors", _canonical(spinors, "E0"))
 
     def __setattr__(self, name: str, value: object = None) -> None:
         raise AttributeError(f"cannot assign to field {name!r} of an immutable SheafExpr")

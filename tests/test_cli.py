@@ -22,14 +22,16 @@ from quadliaison.cli import (
     EXIT_INFEASIBLE,
     EXIT_OK,
     EXIT_USAGE,
+    MAX_WINDOW_TWISTS,
+    _echo,
     app,
     load_scenario,
     main,
 )
 from quadliaison.ambient import QUADRIC3
 from quadliaison.classify import etype_candidates
-from quadliaison.curves import MAX_WINDOW_TWISTS, CurveClass
-from quadliaison.errors import MappingConeInconsistent, _echo
+from quadliaison.curves import CurveClass
+from quadliaison.errors import MappingConeInconsistent
 from quadliaison.hilbert import h0_proj
 from quadliaison.sheaves import line_bundle, spinor
 
@@ -782,6 +784,17 @@ def test_scenario_file_supplies_defaults(tmp_path, capsys):
     code, out, _ = run(capsys, "table", "--scenario", str(path))
     assert code == EXIT_OK
     assert out == golden("table_84_q_ideal.txt")
+
+
+def test_a_scenario_saved_with_a_byte_order_mark_and_crlf_reads_as_plain(tmp_path, capsys):
+    """An editor may save the file with a leading byte-order mark and CRLF
+    line ends; the mark must not join the first key."""
+    lines = ["ambient=q", "degree=8", "genus=4", "rows=ideal", "window=0:6"]
+    plain, marked = tmp_path / "plain.ql", tmp_path / "marked.ql"
+    plain.write_bytes("".join(f"{line}\n" for line in lines).encode())
+    marked.write_bytes(b"\xef\xbb\xbf" + "".join(f"{line}\r\n" for line in lines).encode())
+    got = [run(capsys, "table", "--scenario", str(path))[:2] for path in (plain, marked)]
+    assert got[0] == got[1] == (EXIT_OK, golden("table_84_q_ideal.txt"))
 
 
 def test_flags_override_scenario(tmp_path, capsys):

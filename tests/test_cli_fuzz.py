@@ -14,8 +14,7 @@ import random
 
 import pytest
 
-from quadliaison.cli import main
-from quadliaison.curves import MAX_TWIST, MAX_WINDOW_TWISTS
+from quadliaison.cli import MAX_TWIST, MAX_WINDOW_TWISTS, main
 
 SEED = 4
 DRAWS = 300

@@ -33,7 +33,6 @@ from quadliaison import (
     full_ideal_table,
     ideal_h0_table,
     nonspecial_threshold,
-    parse_window,
     regularity,
     render_value_csv,
     render_value_row,
@@ -41,7 +40,8 @@ from quadliaison import (
     section_table,
 )
 from quadliaison import h0_proj, h0_quadric3
-from quadliaison.curves import MAX_WINDOW_TWISTS, _csv, _csv_field
+from quadliaison.cli import MAX_WINDOW_TWISTS, parse_window
+from quadliaison.curves import _csv, _csv_field
 from quadliaison.verify import (
     _klein_parity_check as klein_parity_check,
     _plane_genus as plane_genus,

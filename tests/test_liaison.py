@@ -27,6 +27,7 @@ from quadliaison import (
     resolution_consistency_check,
     spinor,
 )
+from quadliaison import P4, ideal_h0_table
 
 C84 = CurveClass(QUADRIC3, 8, 4)
 C40 = CurveClass(QUADRIC3, 4, 0)
@@ -55,6 +56,29 @@ def test_ci_residual_paper_case():
     assert ci_residual(4, 0, quadric_linkage(2, 3)) == (8, 4)
     # genus drop is (sum - dim - 1)(d - d')/2 = (7 - 5)(8 - 4)/2 = 4
     assert 4 - 0 == (7 - 5) * (8 - 4) // 2
+
+
+@pytest.mark.parametrize("ambient, linkage, quadrics, chi_normal, total", [
+    (P4, CILinkage(4, (2, 2, 3)), 2, lambda d, g: 5 * d + 1 - g, 40),
+    (QUADRIC3, quadric_linkage(2, 3), 1, lambda d, g: 3 * d, 27),
+], ids=["p4", "quadric3"])
+def test_paper_pair_satisfies_the_linkage_dimension_count(
+        ambient, linkage, quadrics, chi_normal, total):
+    """dim H(X) + F(X) = dim H(X') + F(X') for X, X' linked by a complete
+    intersection, with dim H(X) = chi(N_X) and F(X) the dimension of the
+    complete intersections of the linking type that contain X: choose the
+    quadrics in H0(I_X(2)), a Grassmannian of dimension k*(h0 - k) for k of
+    them, then a cubic in H0(I_X(3)) modulo the quadrics' multiples, up to
+    scalar.  In P4 the type is (2,2,3); on Q the divisors O_Q(2), O_Q(3)."""
+    assert ci_residual(4, 0, linkage) == (8, 4)
+    totals = []
+    for degree, genus in (4, 0), (8, 4):
+        ideal = ideal_h0_table(CurveClass(ambient, degree, genus), (2, 3))
+        quadric_choice = quadrics * (ideal[2] - quadrics)
+        cubic_choice = ideal[3] - quadrics * ambient.h0(1) - 1
+        assert quadric_choice >= 0 and cubic_choice >= 0
+        totals.append(chi_normal(degree, genus) + quadric_choice + cubic_choice)
+    assert totals == [total, total]
 
 
 def test_ci_residual_twisted_cubic():

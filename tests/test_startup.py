@@ -21,20 +21,20 @@ SRC = str(Path(__file__).parent.parent / "src")
 
 # What the package root re-exported when it imported every submodule eagerly,
 # less the two atom classes that sheaves no longer has, the one-line
-# wrappers zero_sheaf and all_ok, the per-twist counts curve_sections and
-# ideal_h0, which leave curves only as rows, MATCH_WINDOW, since
-# classification defaults to DEFAULT_WINDOW, and plane_genus,
+# wrappers zero_sheaf, all_ok and proj_space, the per-twist counts
+# curve_sections and ideal_h0, which leave curves only as rows, MATCH_WINDOW,
+# since classification defaults to DEFAULT_WINDOW, plane_genus,
 # quadric_surface_genus_spectrum and klein_parity_check, which only the
-# reference suite uses and keeps private.
+# reference suite uses and keeps private, and parse_ambient and
+# parse_window, which read the command line's text and live in cli.
 REEXPORTS = {
-    "ambient": "P2 P3 P4 QUADRIC3 Ambient parse_ambient proj_space",
+    "ambient": "P2 P3 P4 QUADRIC3 Ambient",
     "classify": "CANDIDATE_CAP DEFAULT_TWIST_BOUNDS GeneratorEstimate "
     "enumerate_rank4_candidates etype_candidates etype_middle generator_estimate "
     "kernel_table_from_resolution match_acm_kernel rank4_candidate_count",
     "curves": "DEFAULT_WINDOW CohomTable CurveClass Feasibility RegularityReport Window "
     "acm_embedding_obstruction ambient_table full_ideal_table ideal_h0_table "
-    "nonspecial_threshold parse_window regularity render_value_csv render_value_row rr_chi "
-    "section_table",
+    "nonspecial_threshold regularity render_value_csv render_value_row rr_chi section_table",
     "errors": "InconsistencyError InfeasibleError MappingConeInconsistent "
     "NegativeDimension QLError RangeTooLarge",
     "hilbert": "binom h0_proj h0_quadric3 h0_spinor",
@@ -161,3 +161,36 @@ def test_unknown_name_raises_attribute_error():
         quadliaison.no_such_name
     with pytest.raises(ImportError):
         from quadliaison import no_such_name  # noqa: F401
+
+
+# What text ql accepts, how it bounds it, and how it quotes a refused value.
+INPUT_DOMAIN = {"_echo", "parse_window", "parse_ambient", "_LABELS", "MAX_TWIST",
+                "MAX_WINDOW_TWISTS"}
+
+
+def top_level_names(tree: ast.Module) -> set[str]:
+    """The names a module binds at its top level, by definition or import."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
+
+
+def test_only_the_cli_knows_the_input_domain():
+    """cli alone parses, bounds and echoes user text: no other submodule
+    binds those names, errors holds just the exception classes, and ambient
+    imports nothing from errors."""
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in Path(SRC, "quadliaison").glob("*.py")}
+    assert INPUT_DOMAIN <= top_level_names(trees.pop("cli"))
+    for module, tree in trees.items():
+        assert not INPUT_DOMAIN & top_level_names(tree), module
+    assert top_level_names(trees["errors"]) - {"annotations"} == set(REEXPORTS["errors"].split())
+    assert not [node for node in ast.walk(trees["ambient"])
+                if isinstance(node, ast.ImportFrom) and node.module == "errors"]
