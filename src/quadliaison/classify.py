@@ -41,17 +41,21 @@ def _runs(combo: tuple) -> tuple:
 
 
 @lru_cache(maxsize=8)
-def _enumerate_cached(twist_lo: int, twist_hi: int) -> tuple[SheafExpr, ...]:
+def _enumerate_cached(twist_lo: int, twist_hi: int) -> tuple[tuple, tuple]:
+    """The candidates in render order, and each paired with its atom keys:
+    (t, m) for m*O(t) and (t, -m) for m*E0(t)."""
     # descending twists make every combination a non-increasing run, whose
     # groupby runs are already canonical; the three shapes differ in their
     # spinor count, so no candidate repeats
     twists = range(twist_hi, twist_lo - 1, -1)
     build = SheafExpr()._replace_atoms
     pairs = [_runs(pair) for pair in combinations_with_replacement(twists, 2)]
-    out = [build(pair, ((a, 1),)) for a in twists for pair in pairs]
-    out += [build((), pair) for pair in pairs]
-    out += [build(_runs(quad), ()) for quad in combinations_with_replacement(twists, 4)]
-    return tuple(sorted(out, key=SheafExpr.render))
+    out = [(build(pair, ((a, 1),)), pair + ((a, -1),)) for a in twists for pair in pairs]
+    out += [(build((), pair), tuple((t, -m) for t, m in pair)) for pair in pairs]
+    out += [(build(lines, ()), lines)
+            for lines in map(_runs, combinations_with_replacement(twists, 4))]
+    out.sort(key=lambda entry: entry[0].render())
+    return tuple(cand for cand, _ in out), tuple(out)
 
 
 def enumerate_rank4_candidates(
@@ -64,15 +68,17 @@ def enumerate_rank4_candidates(
     count = rank4_candidate_count(twist_lo, twist_hi)
     if count > CANDIDATE_CAP:
         raise RangeTooLarge(count, CANDIDATE_CAP)
-    return list(_enumerate_cached(twist_lo, twist_hi))
+    return list(_enumerate_cached(twist_lo, twist_hi)[0])
 
 
-def _pair_counts(twist_lo: int, twist_hi: int, n: int) -> list:
-    """mult * h0(O(t + n)) and mult * h0(E0(t + n)) by (t, mult), t in the bounds, mult <= 4."""
+def _count_table(twist_lo: int, twist_hi: int, n: int):
+    """The count of an atom key at twist n: m * h0(O(t + n)) for (t, m) and
+    m * h0(E0(t + n)) for (t, -m), t in the bounds and 1 <= m <= 4."""
     shifted = range(twist_lo + n, twist_hi + n + 1)
-    rows = hilbert.h0_quadric3_row(twist_lo + n, twist_hi + n), map(hilbert.h0_spinor, shifted)
-    return [{(t - n, m): c * m for t, c in zip(shifted, row) for m in range(1, 5)}.__getitem__
-            for row in rows]
+    lines = hilbert.h0_quadric3_row(twist_lo + n, twist_hi + n)  # before the lazy spinor row
+    rows = (1, lines), (-1, map(hilbert.h0_spinor, shifted))
+    return {(t - n, sign * m): c * m for sign, row in rows for t, c in zip(shifted, row)
+            for m in (1, 2, 3, 4)}.__getitem__
 
 
 def match_acm_kernel(
@@ -91,9 +97,11 @@ def match_acm_kernel(
     So a target that is nonzero there matches nothing, and otherwise only
     the twists from max(lo, -twist_hi) up are compared, from the top twist
     down, where counts separate candidates best, and matching stops once no
-    candidate is left.  Each compared twist n counts h0(O(t + n)) and
-    h0(E0(t + n)) once per bounds twist t (``_pair_counts``), and a
-    candidate's count sums only the atom kinds it has.
+    candidate is left.  Each compared twist n counts h0(O(t + n)) and then
+    h0(E0(t + n)) once per bounds twist t, into one table of the 8w atom
+    counts m*h0(O(t + n)) and m*h0(E0(t + n)), m <= 4, for w bounds twists
+    (``_count_table``).  Every cached candidate carries its atom keys, so its
+    count is the sum of their table entries.
     """
     lo, hi = window
     if hi - lo + 1 < 5:
@@ -101,18 +109,17 @@ def match_acm_kernel(
     missing = [n for n in range(lo, hi + 1) if n not in target]
     if missing:
         raise ValueError(f"target lacks values at twists {missing}")
-    candidates = enumerate_rank4_candidates(twist_lo, twist_hi)
+    enumerate_rank4_candidates(twist_lo, twist_hi)  # refuses bad bounds and counts past the cap
     if any(target[n] for n in range(lo, min(hi + 1, -twist_hi))):
         return []
+    pairs = _enumerate_cached(twist_lo, twist_hi)[1]
     for n in range(hi, max(lo, -twist_hi) - 1, -1):
-        if not candidates:
+        if not pairs:
             break
-        line_of, spinor_of = _pair_counts(twist_lo, twist_hi, n)
+        count_of = _count_table(twist_lo, twist_hi, n)
         want = target[n]
-        candidates = [cand for cand in candidates if want == (
-            (sum(map(line_of, cand.lines)) if cand.lines else 0)
-            + (sum(map(spinor_of, cand.spinors)) if cand.spinors else 0))]
-    return candidates
+        pairs = [pair for pair in pairs if want == sum(map(count_of, pair[1]))]
+    return [cand for cand, _ in pairs]
 
 
 def kernel_table_from_resolution(

@@ -122,17 +122,20 @@ def parse_window(text: str) -> Window:
 
 
 def load_scenario(path: str) -> dict[str, str]:
-    """Flat key=value lines; blank lines, # comments and a byte-order mark are ignored."""
+    """Flat key=value lines; blank lines, # comments and a byte-order mark are
+    ignored.  A key is a flag's destination in _FLAGS or ``flavor``."""
     out: dict[str, str] = {}
     with open(path, encoding="utf-8-sig") as handle:
-        for raw in handle:
+        for number, raw in enumerate(handle, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
                 raise ValueError(f"scenario line is not key=value: {_echo(raw.strip())}")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key not in _FLAGS and key != "flavor":
+                raise ValueError(f"unknown scenario key {_echo(key)} on line {number}")
+            out[key] = value
     return out
 
 

@@ -37,7 +37,7 @@ from quadliaison import (
     spinor,
 )
 from quadliaison import hilbert
-from quadliaison.classify import _enumerate_cached, _pair_counts
+from quadliaison.classify import _count_table, _enumerate_cached
 from quadliaison.liaison import residual_curve
 from quadliaison.verify import ETYPE_40, ETYPE_84
 
@@ -215,15 +215,21 @@ def test_match_agrees_with_unpruned_filter_on_seeded_targets():
     assert outcomes == {0, 1, 2}
 
 
-def test_pair_counts_agree_with_the_section_count_oracle():
-    """A candidate's count read off the two atom rows at twist n, as matching
-    reads it, equals SheafExpr.h0, which stays the oracle."""
-    pool = enumerate_rank4_candidates(*DEFAULT_TWIST_BOUNDS)
+def test_count_table_agrees_with_the_section_count_oracle():
+    """A cached candidate's count at twist n, the sum of its atom keys'
+    entries in the twist's count table as matching reads it, equals
+    SheafExpr.h0, which stays the oracle; and the keys split back into the
+    candidate's lines (positive multiplicity) and spinors (negative)."""
+    candidates, pairs = _enumerate_cached(*DEFAULT_TWIST_BOUNDS)
+    assert [cand for cand, _ in pairs] == list(candidates) == enumerate_rank4_candidates()
+    assert len(pairs) == 1320
+    for cand, key in pairs:
+        assert tuple((t, m) for t, m in key if m > 0) == cand.lines
+        assert tuple((t, -m) for t, m in key if m < 0) == cand.spinors
     for n in range(-20, 41):
-        line_of, spinor_of = _pair_counts(*DEFAULT_TWIST_BOUNDS, n)
-        for cand in pool:
-            count = sum(map(line_of, cand.lines)) + sum(map(spinor_of, cand.spinors))
-            assert count == cand.h0(n), (cand, n)
+        count_of = _count_table(*DEFAULT_TWIST_BOUNDS, n)
+        for cand, key in pairs:
+            assert sum(map(count_of, key)) == cand.h0(n), (cand, n)
 
 
 def test_match_agrees_with_unpruned_filter_on_edge_draws():

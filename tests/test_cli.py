@@ -712,6 +712,7 @@ LONG_VALUES = {
     "ambient": (["table", "--ambient", "p" * 100_000, "-d", "8", "-g", "4"], None,
                 f"unknown ambient {cut('p' * 100_000)} (expected p2, p3, p4 or quadric3)"),
     "scenario-line": (TABLE, LONG, f"scenario line is not key=value: {cut(LONG)}"),
+    "scenario-key": (TABLE, LONG + "=1", f"unknown scenario key {cut(LONG)} on line 1"),
     "scenario-path": ([*TABLE, "--scenario", LONG], None,
                       f"[Errno 36] File name too long: {cut(LONG)}"),
     "format": ([*TABLE, "--format", LONG], None, f"unknown format {cut(LONG)}"),
@@ -795,6 +796,30 @@ def test_a_scenario_saved_with_a_byte_order_mark_and_crlf_reads_as_plain(tmp_pat
     marked.write_bytes(b"\xef\xbb\xbf" + "".join(f"{line}\r\n" for line in lines).encode())
     got = [run(capsys, "table", "--scenario", str(path))[:2] for path in (plain, marked)]
     assert got[0] == got[1] == (EXIT_OK, golden("table_84_q_ideal.txt"))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("rows=ideal\nwindw=0:2\n", "unknown scenario key 'windw' on line 2"),
+    ("ambient=q\ndegree=8\ngenus=4\n\ufeffrows=ideal\n",
+     "unknown scenario key '\\ufeffrows' on line 4"),
+], ids=["typo", "mid-file-mark"])
+def test_an_unknown_scenario_key_is_refused_with_its_line(text, message, tmp_path, capsys):
+    """A misspelled key, or one behind a byte-order mark in mid-file, names no
+    flag: it exits 1 as an unknown flag does, instead of leaving the default."""
+    path = tmp_path / "typo.ql"
+    path.write_text(text, encoding="utf-8")
+    got = run(capsys, *TABLE, "--scenario", str(path))
+    assert got == (EXIT_USAGE, "", f"error: {message}\n")
+
+
+def test_a_repeated_key_or_another_commands_key_is_accepted(tmp_path, capsys):
+    """The last of a repeated key wins, and a key that only another command
+    reads (ci, via, flavor, and the switches) is ignored."""
+    path = tmp_path / "curve.ql"
+    path.write_text("ambient=q\ndegree=8\ngenus=4\nrows=full\nrows=ideal\nwindow=0:6\n"
+                    "ci=2,2,3\nvia=2,3\nflavor=etype\netype=1\nntype=1\n")
+    assert run(capsys, "table", "--scenario", str(path)) == (
+        EXIT_OK, golden("table_84_q_ideal.txt"), "")
 
 
 def test_flags_override_scenario(tmp_path, capsys):
