@@ -29,8 +29,8 @@ DEFAULT_TWIST_BOUNDS: tuple[int, int] = (-6, 3)
 
 
 def rank4_candidate_count(twist_lo: int, twist_hi: int) -> int:
-    """Candidates over a twist range of width w: w*C(w+1,2) of shape
-    E0+O+O, C(w+1,2) of shape E0+E0, and C(w+3,4) sums of four lines."""
+    """Candidates over a twist range of width w, k spinors E0 and 4 - 2k lines
+    O: w*C(w+1,2) E0+O+O (k = 1), C(w+1,2) E0+E0 and C(w+3,4) four lines."""
     w = twist_hi - twist_lo + 1
     return w * hilbert.binom(w + 1, 2) + hilbert.binom(w + 1, 2) + hilbert.binom(w + 3, 4)
 
@@ -44,16 +44,14 @@ def _runs(combo: tuple) -> tuple:
 def _enumerate_cached(twist_lo: int, twist_hi: int) -> tuple[tuple, tuple]:
     """The candidates in render order, and each paired with its atom keys:
     (t, m) for m*O(t) and (t, -m) for m*E0(t)."""
+    # k spinors and 4 - 2k lines, as rank4_candidate_count counts them;
     # descending twists make every combination a non-increasing run, whose
-    # groupby runs are already canonical; the three shapes differ in their
-    # spinor count, so no candidate repeats
+    # groupby runs are already canonical, and k tells the shapes apart
     twists = range(twist_hi, twist_lo - 1, -1)
     build = SheafExpr()._replace_atoms
-    pairs = [_runs(pair) for pair in combinations_with_replacement(twists, 2)]
-    out = [(build(pair, ((a, 1),)), pair + ((a, -1),)) for a in twists for pair in pairs]
-    out += [(build((), pair), tuple((t, -m) for t, m in pair)) for pair in pairs]
-    out += [(build(lines, ()), lines)
-            for lines in map(_runs, combinations_with_replacement(twists, 4))]
+    out = [(build(lines, spinors), lines + tuple((t, -m) for t, m in spinors))
+           for k in (0, 1, 2) for spinors in map(_runs, combinations_with_replacement(twists, k))
+           for lines in map(_runs, combinations_with_replacement(twists, 4 - 2 * k))]
     out.sort(key=lambda entry: entry[0].render())
     return tuple(cand for cand, _ in out), tuple(out)
 

@@ -123,7 +123,8 @@ def parse_window(text: str) -> Window:
 
 def load_scenario(path: str) -> dict[str, str]:
     """Flat key=value lines; blank lines, # comments and a byte-order mark are
-    ignored.  A key is a flag's destination in _FLAGS or ``flavor``."""
+    ignored.  A key is one of _SCENARIO_KEYS: a file sets no switch and
+    names no other file."""
     out: dict[str, str] = {}
     with open(path, encoding="utf-8-sig") as handle:
         for number, raw in enumerate(handle, 1):
@@ -133,7 +134,7 @@ def load_scenario(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise ValueError(f"scenario line is not key=value: {_echo(raw.strip())}")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _FLAGS and key != "flavor":
+            if key not in _SCENARIO_KEYS:
                 raise ValueError(f"unknown scenario key {_echo(key)} on line {number}")
             out[key] = value
     return out
@@ -374,6 +375,9 @@ _FLAGS = {
     "ntype": (("--ntype",), None, "N-type via a linkage"),
     "via": (("--via",), "A,B", "divisor twists of the linking intersection (N-type)"),
 }
+# The keys load_scenario accepts: every flag that takes a value but --scenario, and flavor.
+_SCENARIO_KEYS = {"flavor"}.union(
+    dest for dest, (_, metavar, _) in _FLAGS.items() if metavar and dest != "scenario")
 
 # Each command: its handler, its help, its flags in help order ("a|b" for a
 # mutually exclusive pair), and the help it gives a flag in place of _FLAGS'.

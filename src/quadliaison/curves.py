@@ -267,25 +267,23 @@ def acm_embedding_obstruction(degree: int, genus: int, ambient: Ambient) -> Feas
     on n >= 1: its step s(n+1) - s(n) = h0(O(n+1)) - h0(O(n)) - degree
     increases with n on every supported ambient (it is C(m+n, m-1) - degree
     on P^m with m >= 2, and (n+2)^2 - degree on the quadric).  So s falls
-    strictly until its first nonnegative step and never falls after it.
-    One bisection finds that first step, which is where s is least; if s
-    is negative there, a second bisection over the strictly falling part
-    finds the first negative twist.  Both take O(log degree) evaluations.
+    strictly until its first nonnegative step, where it is least, and never
+    falls after it.  So the predicate "s(n) < 0 or the step at n is
+    nonnegative" is monotone: a negative s stays negative while s falls, and
+    a step, once nonnegative, stays so.  One bisection, O(log degree)
+    evaluations, finds where it turns true: the first negative twist if s
+    goes negative, else the least point, so the slack there is the verdict.
     """
     CurveClass.check_invariants(degree, genus)
 
-    def slack(n: int) -> int:
-        return ambient.h0(n) - rr_chi(degree, genus, n)
+    def short_or_rising(n: int) -> bool:
+        h0 = ambient.h0(n)
+        return h0 < rr_chi(degree, genus, n) or ambient.h0(n + 1) - h0 >= degree
 
     twists = range(1, 2 * degree + 1)
-    lowest = twists[bisect_left(
-        twists, True, key=lambda n: ambient.h0(n + 1) - ambient.h0(n) >= degree
-    )]
-    if slack(lowest) >= 0:
-        return Feasibility(True, None)
-    falling = twists[:lowest]
-    witness = falling[bisect_left(falling, True, key=lambda n: slack(n) < 0)]
-    return Feasibility(False, witness)
+    n = twists[bisect_left(twists, True, key=short_or_rising)]
+    feasible = ambient.h0(n) >= rr_chi(degree, genus, n)
+    return Feasibility(feasible, None if feasible else n)
 
 
 def nonspecial_threshold(degree: int, genus: int) -> int:

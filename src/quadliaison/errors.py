@@ -8,7 +8,8 @@
   failed, or a kernel match is ambiguous.  Its subclass
   MappingConeInconsistent names the first failing twist of a mapping cone,
   or, when every cell passes but the rank/c1 check fails, has twist None,
-  lhs (rank diff, c1 diff) and rhs (1, 0).
+  lhs (rank diff, c1 diff) and rhs (1, 0); it words its message from
+  whether the twist is None, so both kinds of failure raise it the same way.
 - RangeTooLarge (exit 1, a ValueError like every other usage error): an
   enumeration would exceed the candidate cap.
 """
@@ -43,14 +44,14 @@ class InconsistencyError(QLError):
 class MappingConeInconsistent(InconsistencyError):
     """A mapping-cone output failed its section-count consistency check."""
 
-    def __init__(self, twist: int | None, lhs: int | tuple[int, int], rhs: int | tuple[int, int],
-                 message: str | None = None):
+    def __init__(self, twist: int | None, lhs: int | tuple[int, int], rhs: int | tuple[int, int]):
         self.twist = twist
         self.lhs = lhs
         self.rhs = rhs
         super().__init__(
-            message
-            or f"consistency check failed at twist {twist}: {lhs} != {rhs}"
+            f"consistency check failed at twist {twist}: {lhs} != {rhs}" if twist is not None
+            else f"mapping cone output has rank diff {lhs[0]} (want {rhs[0]}), "
+            f"c1 diff {lhs[1]} (want {rhs[1]})"
         )
 
 

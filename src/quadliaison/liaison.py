@@ -164,14 +164,9 @@ def _checked(res: ResolutionTriple, window: Window) -> ResolutionTriple:
     report = resolution_consistency_check(res, window)
     if report.ok:
         return res
-    fail = report.first_failure()
-    if fail is not None:
-        raise MappingConeInconsistent(fail.twist, fail.lhs, fail.rhs)
-    raise MappingConeInconsistent(  # every cell passed: no twist, (rank, c1) diffs instead
-        None, (res.rank_diff, res.c1_diff), (1, 0),
-        message=f"mapping cone output has rank diff {res.rank_diff} (want 1), "
-        f"c1 diff {res.c1_diff} (want 0)",
-    )
+    # the first failing cell, or, when every cell passed, no twist and the (rank, c1) diffs
+    raise MappingConeInconsistent(
+        *report.first_failure() or (None, (res.rank_diff, res.c1_diff), (1, 0)))
 
 
 def residual_curve(curve: CurveClass, a: int, b: int) -> CurveClass:

@@ -802,10 +802,15 @@ def test_a_scenario_saved_with_a_byte_order_mark_and_crlf_reads_as_plain(tmp_pat
     ("rows=ideal\nwindw=0:2\n", "unknown scenario key 'windw' on line 2"),
     ("ambient=q\ndegree=8\ngenus=4\n\ufeffrows=ideal\n",
      "unknown scenario key '\\ufeffrows' on line 4"),
-], ids=["typo", "mid-file-mark"])
+    ("rows=ideal\nflavor=etype\netype=1\n", "unknown scenario key 'etype' on line 3"),
+    ("rows=ideal\nntype=yes\n", "unknown scenario key 'ntype' on line 2"),
+    ("scenario=other.ql\n", "unknown scenario key 'scenario' on line 1"),
+], ids=["typo", "mid-file-mark", "etype-switch", "ntype-switch", "nested-scenario"])
 def test_an_unknown_scenario_key_is_refused_with_its_line(text, message, tmp_path, capsys):
     """A misspelled key, or one behind a byte-order mark in mid-file, names no
-    flag: it exits 1 as an unknown flag does, instead of leaving the default."""
+    flag: it exits 1 as an unknown flag does, instead of leaving the default.
+    So does a switch, which no command reads from a file, and a nested
+    scenario, which would be left unread."""
     path = tmp_path / "typo.ql"
     path.write_text(text, encoding="utf-8")
     got = run(capsys, *TABLE, "--scenario", str(path))
@@ -814,10 +819,10 @@ def test_an_unknown_scenario_key_is_refused_with_its_line(text, message, tmp_pat
 
 def test_a_repeated_key_or_another_commands_key_is_accepted(tmp_path, capsys):
     """The last of a repeated key wins, and a key that only another command
-    reads (ci, via, flavor, and the switches) is ignored."""
+    reads (ci, via and flavor) is ignored."""
     path = tmp_path / "curve.ql"
     path.write_text("ambient=q\ndegree=8\ngenus=4\nrows=full\nrows=ideal\nwindow=0:6\n"
-                    "ci=2,2,3\nvia=2,3\nflavor=etype\netype=1\nntype=1\n")
+                    "ci=2,2,3\nvia=2,3\nflavor=etype\n")
     assert run(capsys, "table", "--scenario", str(path)) == (
         EXIT_OK, golden("table_84_q_ideal.txt"), "")
 

@@ -332,7 +332,7 @@ def test_obstruction_work_is_logarithmic_in_degree(monkeypatch):
 
     monkeypatch.setattr(Ambient, "h0", counted)
     d, g = 2 * 10**6, 10**12
-    budget = 4 * math.ceil(math.log2(2 * d)) + 4
+    budget = 2 * math.ceil(math.log2(2 * d)) + 3
     for ambient in (P2, P3, P4, QUADRIC3):
         for genus in (0, g):
             calls.clear()

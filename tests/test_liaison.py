@@ -247,7 +247,8 @@ def test_mapping_cone_rank_c1_failure_with_every_cell_equal():
     """Below twist -30 every section count on both sides is 0, so the cell
     audit passes and only the rank and c1 check can refuse the cone.  No
     twist failed, so the error names none and carries (rank diff, c1 diff)
-    against the (1, 0) it wants."""
+    against the (1, 0) it wants; it words that message from the None twist
+    alone."""
     window = (-30, -26)
     cases = [  # middle, the kernel of the cone output, (rank diff, c1 diff)
         (line_bundle(-2, 6), line_bundle(-3, 6), (0, 3)),
@@ -262,6 +263,7 @@ def test_mapping_cone_rank_c1_failure_with_every_cell_equal():
             f"mapping cone output has rank diff {rank} (want 1), c1 diff {c1} (want 0)"
         )
         assert (info.value.twist, info.value.lhs, info.value.rhs) == (None, diffs, (1, 0))
+        assert str(MappingConeInconsistent(None, diffs, (1, 0))) == str(info.value)
         # the cone output: the middle and 2*E0(4) dualized, twisted by -5, plus O(-2) + O(-3)
         out = ResolutionTriple(cone_kernel, line_bundle(-2) + line_bundle(-3) + spinor(-1, 2),
                                C84, ResolutionFlavor.N_TYPE)
