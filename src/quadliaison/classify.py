@@ -5,10 +5,10 @@ Every indecomposable ACM bundle on the quadric threefold is a twisted
 line bundle or a twist of the rank-2 spinor-type bundle, so a rank-4
 ACM kernel is one of three shapes: E0(a)+O(b)+O(c), E0(a)+E0(b), or a
 sum of four line bundles.  Matching filters them by section counts over
-a finite window, by default the package's DEFAULT_WINDOW (-1:8) as in the
-CLI, read off rows of atom counts; it does not pin the kernel down.  It
-tries rank 4 whatever the rank of the middle term, its answer can change
-with the window, and it may return no candidate or several.
+a finite window, by default DEFAULT_WINDOW (-1:8) as in the CLI, from one
+table of atom counts at its top twist per call; it does not pin the kernel
+down.  It tries rank 4 whatever the rank of the middle term, its answer
+can change with the window, and it may return no candidate or several.
 """
 
 from __future__ import annotations
@@ -93,13 +93,12 @@ def match_acm_kernel(
     Below twist -twist_hi no candidate has sections, since O(t) needs
     t + n >= 0, E0(t) needs t + n >= 2 and every t is at most twist_hi.
     So a target that is nonzero there matches nothing, and otherwise only
-    the twists from max(lo, -twist_hi) up are compared, from the top twist
-    down, where counts separate candidates best, and matching stops once no
-    candidate is left.  Each compared twist n counts h0(O(t + n)) and then
-    h0(E0(t + n)) once per bounds twist t, into one table of the 8w atom
-    counts m*h0(O(t + n)) and m*h0(E0(t + n)), m <= 4, for w bounds twists
-    (``_count_table``).  Every cached candidate carries its atom keys, so its
-    count is the sum of their table entries.
+    the twists from max(lo, -twist_hi) up are compared.  The top twist hi,
+    where counts separate candidates best, gets one table of the 8w atom
+    counts m*h0(O(t + hi)) and m*h0(E0(t + hi)), m <= 4, for the w bounds
+    twists t (``_count_table``); a cached candidate's top count is the sum
+    of its atom keys' entries.  The few that agree there are checked with
+    SheafExpr.h0 at each lower compared twist, from the top down.
     """
     lo, hi = window
     if hi - lo + 1 < 5:
@@ -110,14 +109,10 @@ def match_acm_kernel(
     enumerate_rank4_candidates(twist_lo, twist_hi)  # refuses bad bounds and counts past the cap
     if any(target[n] for n in range(lo, min(hi + 1, -twist_hi))):
         return []
-    pairs = _enumerate_cached(twist_lo, twist_hi)[1]
-    for n in range(hi, max(lo, -twist_hi) - 1, -1):
-        if not pairs:
-            break
-        count_of = _count_table(twist_lo, twist_hi, n)
-        want = target[n]
-        pairs = [pair for pair in pairs if want == sum(map(count_of, pair[1]))]
-    return [cand for cand, _ in pairs]
+    count_of = _count_table(twist_lo, twist_hi, hi)
+    lower = range(hi - 1, max(lo, -twist_hi) - 1, -1)
+    return [cand for cand, key in _enumerate_cached(twist_lo, twist_hi)[1]
+            if sum(map(count_of, key)) == target[hi] and all(cand.h0(n) == target[n] for n in lower)]
 
 
 def kernel_table_from_resolution(

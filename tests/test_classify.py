@@ -263,20 +263,23 @@ def test_match_agrees_with_unpruned_filter_on_edge_draws():
 def counts(monkeypatch):
     """Wraps the atom counts and SheafExpr.h0.  counts["atoms"] gets the twist
     k of every h0(O(k)) or h0(E0(k)) on Q made through hilbert.h0_quadric3,
-    hilbert.h0_quadric3_row or hilbert.h0_spinor, and counts["sums"] every
-    SheafExpr.h0 twist."""
-    found = {"atoms": [], "sums": []}
+    hilbert.h0_quadric3_row or hilbert.h0_spinor, counts["rows"] the (lo, hi)
+    of every hilbert.h0_quadric3_row call, counts["sums"] every SheafExpr.h0
+    twist and counts["receivers"] the expression of each of those calls."""
+    found = {"atoms": [], "rows": [], "sums": [], "receivers": []}
     atoms = found["atoms"]
     h0, h0_row, h0_spinor, sum_h0 = (
         hilbert.h0_quadric3, hilbert.h0_quadric3_row, hilbert.h0_spinor, SheafExpr.h0
     )
 
     def counted_row(lo, hi):
+        found["rows"].append((lo, hi))
         atoms.extend(range(lo, hi + 1))
         return h0_row(lo, hi)
 
     def counted_sum(self, n):
         found["sums"].append(n)
+        found["receivers"].append(self)
         return sum_h0(self, n)
 
     monkeypatch.setattr(hilbert, "h0_quadric3", lambda k: atoms.append(k) or h0(k))
@@ -286,60 +289,91 @@ def counts(monkeypatch):
     return found
 
 
+def clear(counts):
+    for found in counts.values():
+        found.clear()
+
+
 def test_match_work_does_not_grow_below_the_twist_bounds(counts):
     """Twists below -twist_hi cost no section counts, so a window reaching
-    down to -9999 makes as many atom counts as one reaching down to -9:
-    twists 6 down to -3, at most 2 * 10 each for the ten bounds twists."""
+    down to -9999 does the work of one reaching down to -9: one count table
+    at twist 6, then SheafExpr.h0 checks of its survivors at twists 5 down
+    to -3 only."""
     kernel = spinor(-2, 2)
     results = {}
     for lo in (-9, -9999):
         target = {n: kernel.h0(n) for n in range(lo, 7)}
-        counts["atoms"].clear()
-        counts["sums"].clear()
+        clear(counts)
         got = match_acm_kernel(target, (lo, 6))
-        assert counts["sums"] == []
-        results[lo] = got, len(counts["atoms"])
+        assert counts["rows"] == [(0, 9)]  # the bounds twists -6..3, shifted by 6
+        assert set(counts["sums"]) <= set(range(-3, 6))
+        results[lo] = got, len(counts["atoms"]), counts["sums"][:]
     assert results[-9999] == results[-9]
-    assert results[-9][1] <= 2 * 10 * 10
     assert results[-9][0] == filter_match(target, (-9, 6), -6, 3)
     assert kernel in results[-9][0]
 
 
 @pytest.mark.parametrize("target", [KERNEL_84, KERNEL_40], ids=["84", "40"])
 def test_match_compares_from_the_top_twist(counts, target):
-    """With the candidates built, matching makes no SheafExpr.h0 call.  At
-    each compared twist n, the window's top twist first, it counts
-    h0(O(t + n)) and then h0(E0(t + n)) once for each of the w twists t of
-    the bounds, and reads every candidate's count off those two rows: at
-    most 2 * w atom counts per twist, against up to 4 per candidate before.
-    Matching stops once no candidate is left."""
-    enumerate_rank4_candidates()
-    got = match_acm_kernel(target, KERNEL_WINDOW)
-    assert counts["sums"] == []
+    """With the candidates built, matching builds one count table, at the
+    window's top twist hi: it counts h0(O(t + hi)) and then h0(E0(t + hi))
+    once for each of the w twists t of the bounds, 2 * w atom counts from
+    one h0_quadric3_row call, and reads every candidate's top count off
+    them.  Every other atom count comes from a SheafExpr.h0 check, at a
+    lower twist, of a candidate that agrees at hi."""
     lo, hi = KERNEL_WINDOW
     twist_lo, twist_hi = DEFAULT_TWIST_BOUNDS
     width = twist_hi - twist_lo + 1
-    assert len(counts["atoms"]) <= 2 * width * (hi - lo + 1)
+    survivors = {cand for cand in enumerate_rank4_candidates() if cand.h0(hi) == target[hi]}
+    clear(counts)
+    got = match_acm_kernel(target, KERNEL_WINDOW)
+    assert counts["rows"] == [(twist_lo + hi, twist_hi + hi)]
     assert counts["atoms"][:2 * width] == [*range(twist_lo + hi, twist_hi + hi + 1)] * 2
+    assert set(counts["receivers"]) <= survivors
+    assert set(counts["sums"]) <= set(range(lo, hi))
+    summands = sum(len(cand.lines) + len(cand.spinors) for cand in counts["receivers"])
+    assert len(counts["atoms"]) == 2 * width + summands
     assert got == filter_match(target, KERNEL_WINDOW, *DEFAULT_TWIST_BOUNDS)
 
 
 @pytest.mark.parametrize("top, compared", [(81, 1), (79, 2), (80, 7)])
 def test_match_stops_once_no_candidate_is_left(counts, top, compared):
     """KERNEL_84 with its twist-6 count raised to 81 fits no candidate at the
-    top twist, so matching counts only that twist's two rows, 2 * w atoms;
-    at 79 two candidates are left there and none after twist 5; the true
-    count, 80, keeps 2*E0(-2) through the whole window."""
-    enumerate_rank4_candidates()
+    top twist, so matching makes no SheafExpr.h0 call; at 79 two candidates
+    are left there and each fails its first check, at twist 5; the true
+    count, 80, leaves three: 2*E0(-2) is checked down to twist 0, six calls,
+    and the other two fail at twist 5."""
+    calls, receivers = {81: (0, 0), 79: (2, 2), 80: (8, 3)}[top]
     target = {**KERNEL_84, 6: top}
-    got = match_acm_kernel(target, KERNEL_WINDOW)
-    assert counts["sums"] == []
     twist_lo, twist_hi = DEFAULT_TWIST_BOUNDS
     hi = KERNEL_WINDOW[1]
-    assert counts["atoms"] == [k + n for n in range(hi, hi - compared, -1)
-                               for _ in "OE" for k in range(twist_lo, twist_hi + 1)]
+    survivors = {cand for cand in enumerate_rank4_candidates() if cand.h0(hi) == top}
+    clear(counts)
+    got = match_acm_kernel(target, KERNEL_WINDOW)
+    assert counts["rows"] == [(twist_lo + hi, twist_hi + hi)]
+    assert counts["atoms"][:2 * (twist_hi - twist_lo + 1)] == [
+        k + hi for _ in "OE" for k in range(twist_lo, twist_hi + 1)]
+    assert {hi, *counts["sums"]} == set(range(hi, hi - compared, -1))
+    assert len(counts["sums"]) == calls
+    assert set(counts["receivers"]) <= survivors
+    assert len(set(counts["receivers"])) == receivers
     assert got == filter_match(target, KERNEL_WINDOW, *DEFAULT_TWIST_BOUNDS)
     assert got == ([spinor(-2, 2)] if top == 80 else [])
+
+
+def test_match_on_a_wide_window_builds_one_count_table(counts):
+    """2*E0(-2)'s row on the 10,000-twist window 990001:1000000: one count
+    table, at twist 1000000, whose one survivor gets a SheafExpr.h0 check at
+    each of the 9,999 twists below it.  A table per compared twist would
+    make 10,000 h0_quadric3_row calls."""
+    kernel = spinor(-2, 2)
+    window = (990_001, 1_000_000)
+    target = {n: kernel.h0(n) for n in range(window[0], window[1] + 1)}
+    clear(counts)
+    assert match_acm_kernel(target, window) == [kernel]
+    assert len(counts["rows"]) == 1
+    assert len(counts["sums"]) <= 9_999
+    assert set(counts["receivers"]) == {kernel}
 
 
 def test_kernel_table_from_resolution():

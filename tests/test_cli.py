@@ -623,10 +623,9 @@ DOMAIN = {
     "window-table-low": (["table", *Q84, LOW],
                          ["table", *Q84, "--window=-1000001:-990002"],
                          "window '-1000001:-990002' must lie in -1000000..1000000"),
-    # kernel matching costs about 50 us a twist here, so this window is narrow
-    "window-resolve": (["resolve", *Q84, "--etype", "--window=999990:1000000"],
-                       ["resolve", *Q84, "--etype", "--window=999991:1000001"],
-                       "window '999991:1000001' must lie in -1000000..1000000"),
+    "window-resolve": (["resolve", *Q84, "--etype", BIG],
+                       ["resolve", *Q84, "--etype", "--window=990002:1000001"],
+                       "window '990002:1000001' must lie in -1000000..1000000"),
 }
 
 
