@@ -22,7 +22,7 @@ from . import hilbert
 from .curves import (DEFAULT_WINDOW, CurveClass, Window, full_ideal_table, ideal_h0_table,
                      regularity)
 from .errors import NegativeDimension, RangeTooLarge
-from .sheaves import SheafExpr
+from .sheaves import SheafExpr, _render_atoms
 
 CANDIDATE_CAP = 10_000
 DEFAULT_TWIST_BOUNDS: tuple[int, int] = (-6, 3)
@@ -40,20 +40,42 @@ def _runs(combo: tuple) -> tuple:
     return tuple((twist, len(list(run))) for twist, run in groupby(combo))
 
 
+def _check_bounds(twist_lo: int, twist_hi: int) -> None:
+    """Refuse an empty twist range, and one with more candidates than the cap."""
+    if twist_lo > twist_hi:
+        raise ValueError("empty twist range")
+    count = rank4_candidate_count(twist_lo, twist_hi)
+    if count > CANDIDATE_CAP:
+        raise RangeTooLarge(count, CANDIDATE_CAP)
+
+
 @lru_cache(maxsize=8)
-def _enumerate_cached(twist_lo: int, twist_hi: int) -> tuple[tuple, tuple]:
-    """The candidates in render order, and each paired with its atom keys:
-    (t, m) for m*O(t) and (t, -m) for m*E0(t)."""
+def _enumerate_cached(twist_lo: int, twist_hi: int) -> tuple[tuple[int, ...], ...]:
+    """Each candidate as its atom keys, in render order: the index in
+    ``_count_table``'s list of m*O(t), 8(t - twist_lo) + m - 1, for its lines,
+    then that of m*E0(t), 8(t - twist_lo) + m + 3, for its spinors, twists
+    descending within each kind."""
     # k spinors and 4 - 2k lines, as rank4_candidate_count counts them;
     # descending twists make every combination a non-increasing run, whose
     # groupby runs are already canonical, and k tells the shapes apart
     twists = range(twist_hi, twist_lo - 1, -1)
-    build = SheafExpr()._replace_atoms
-    out = [(build(lines, spinors), lines + tuple((t, -m) for t, m in spinors))
-           for k in (0, 1, 2) for spinors in map(_runs, combinations_with_replacement(twists, k))
-           for lines in map(_runs, combinations_with_replacement(twists, 4 - 2 * k))]
-    out.sort(key=lambda entry: entry[0].render())
-    return tuple(cand for cand, _ in out), tuple(out)
+    fields = sorted(((lines, spinors) for k in (0, 1, 2)
+                     for spinors in map(_runs, combinations_with_replacement(twists, k))
+                     for lines in map(_runs, combinations_with_replacement(twists, 4 - 2 * k))),
+                    key=lambda pair: _render_atoms(*pair))
+    return tuple(tuple([8 * (t - twist_lo) + m - 1 for t, m in lines]
+                       + [8 * (t - twist_lo) + m + 3 for t, m in spinors])
+                 for lines, spinors in fields)
+
+
+_ZERO = SheafExpr()
+
+
+def _candidate(key: tuple[int, ...], twist_lo: int) -> SheafExpr:
+    """The candidate of a cached key, built with one ``_replace_atoms`` call."""
+    lines = tuple((twist_lo + i // 8, i % 8 + 1) for i in key if i % 8 < 4)
+    spinors = tuple((twist_lo + i // 8, i % 8 - 3) for i in key if i % 8 > 3)
+    return _ZERO._replace_atoms(lines, spinors)
 
 
 def enumerate_rank4_candidates(
@@ -61,22 +83,18 @@ def enumerate_rank4_candidates(
     twist_hi: int = DEFAULT_TWIST_BOUNDS[1],
 ) -> list[SheafExpr]:
     """All rank-4 candidate kernels with twists in [twist_lo, twist_hi]."""
-    if twist_lo > twist_hi:
-        raise ValueError("empty twist range")
-    count = rank4_candidate_count(twist_lo, twist_hi)
-    if count > CANDIDATE_CAP:
-        raise RangeTooLarge(count, CANDIDATE_CAP)
-    return list(_enumerate_cached(twist_lo, twist_hi)[0])
+    _check_bounds(twist_lo, twist_hi)
+    return [_candidate(key, twist_lo) for key in _enumerate_cached(twist_lo, twist_hi)]
 
 
-def _count_table(twist_lo: int, twist_hi: int, n: int):
-    """The count of an atom key at twist n: m * h0(O(t + n)) for (t, m) and
-    m * h0(E0(t + n)) for (t, -m), t in the bounds and 1 <= m <= 4."""
+def _count_table(twist_lo: int, twist_hi: int, n: int) -> list[int]:
+    """The counts at twist n of the atom keys of ``_enumerate_cached``, for t
+    in the bounds and 1 <= m <= 4: m * h0(O(t + n)) at 8(t - twist_lo) + m - 1
+    and m * h0(E0(t + n)) at 8(t - twist_lo) + m + 3."""
     shifted = range(twist_lo + n, twist_hi + n + 1)
     lines = hilbert.h0_quadric3_row(twist_lo + n, twist_hi + n)  # before the lazy spinor row
-    rows = (1, lines), (-1, map(hilbert.h0_spinor, shifted))
-    return {(t - n, sign * m): c * m for sign, row in rows for t, c in zip(shifted, row)
-            for m in (1, 2, 3, 4)}.__getitem__
+    return [c * m for pair in zip(lines, map(hilbert.h0_spinor, shifted)) for c in pair
+            for m in (1, 2, 3, 4)]
 
 
 def match_acm_kernel(
@@ -96,9 +114,11 @@ def match_acm_kernel(
     the twists from max(lo, -twist_hi) up are compared.  The top twist hi,
     where counts separate candidates best, gets one table of the 8w atom
     counts m*h0(O(t + hi)) and m*h0(E0(t + hi)), m <= 4, for the w bounds
-    twists t (``_count_table``); a cached candidate's top count is the sum
-    of its atom keys' entries.  The few that agree there are checked with
-    SheafExpr.h0 at each lower compared twist, from the top down.
+    twists t (``_count_table``); a candidate's top count is the sum of its
+    cached atom keys' entries.  Only the few that agree there are built as
+    SheafExprs, and checked with SheafExpr.h0 at each lower compared twist,
+    from the top down.  The keys are cached in render order, so the
+    matches come out in it.
     """
     lo, hi = window
     if hi - lo + 1 < 5:
@@ -106,13 +126,14 @@ def match_acm_kernel(
     missing = [n for n in range(lo, hi + 1) if n not in target]
     if missing:
         raise ValueError(f"target lacks values at twists {missing}")
-    enumerate_rank4_candidates(twist_lo, twist_hi)  # refuses bad bounds and counts past the cap
+    _check_bounds(twist_lo, twist_hi)
     if any(target[n] for n in range(lo, min(hi + 1, -twist_hi))):
         return []
-    count_of = _count_table(twist_lo, twist_hi, hi)
+    count_of, top = _count_table(twist_lo, twist_hi, hi).__getitem__, target[hi]
+    survivors = [_candidate(key, twist_lo) for key in _enumerate_cached(twist_lo, twist_hi)
+                 if sum(map(count_of, key)) == top]
     lower = range(hi - 1, max(lo, -twist_hi) - 1, -1)
-    return [cand for cand, key in _enumerate_cached(twist_lo, twist_hi)[1]
-            if sum(map(count_of, key)) == target[hi] and all(cand.h0(n) == target[n] for n in lower)]
+    return [cand for cand in survivors if all(cand.h0(n) == target[n] for n in lower)]
 
 
 def kernel_table_from_resolution(

@@ -294,7 +294,7 @@ def _unique_etype(curve: CurveClass, window: Window) -> ResolutionTriple:
 
 
 def cmd_resolve(args: argparse.Namespace) -> int:
-    from .liaison import mapping_cone_n_from_e, residual_curve, resolution_consistency_check
+    from .liaison import _checked, _cone_n_from_e, residual_curve, resolution_consistency_check
 
     run = _Run(args)
     window = run.window()
@@ -306,12 +306,13 @@ def cmd_resolve(args: argparse.Namespace) -> int:
     twists = None if run.get("via") is None else run.int_list("via")
     if flavor == "etype":
         triple = _unique_etype(curve, window)
+        report = resolution_consistency_check(triple, window)
     elif twists is None:
         raise ValueError("--via A,B (divisor twists) is required for N-type")
-    else:
+    else:  # mapping_cone_n_from_e, keeping the one audit it raises on
         etype = _unique_etype(residual_curve(curve, *twists), window)
-        triple = mapping_cone_n_from_e(etype, twists, window)
-    report = resolution_consistency_check(triple, window)
+        triple = _cone_n_from_e(etype, twists)
+        report = _checked(triple, window)
     run.emit(
         lambda: f"{triple.render()}\n{report.render_text()}\n",
         report.render_csv,

@@ -160,10 +160,11 @@ def resolution_consistency_check(
     return ConsistencyReport(res, window, cells)
 
 
-def _checked(res: ResolutionTriple, window: Window) -> ResolutionTriple:
+def _checked(res: ResolutionTriple, window: Window) -> ConsistencyReport:
+    """The audit of res on window, raised as MappingConeInconsistent unless it passes."""
     report = resolution_consistency_check(res, window)
     if report.ok:
-        return res
+        return report
     # the first failing cell, or, when every cell passed, no twist and the (rank, c1) diffs
     raise MappingConeInconsistent(
         *report.first_failure() or (None, (res.rank_diff, res.c1_diff), (1, 0)))
@@ -187,6 +188,13 @@ def mapping_cone_n_from_e(
     a+b, and append the Koszul summands O(-a), O(-b) to the middle term.
     The output is consistency-checked before it is returned.
     """
+    out = _cone_n_from_e(res, divisor_twists)
+    _checked(out, window)
+    return out
+
+
+def _cone_n_from_e(res: ResolutionTriple, divisor_twists: tuple[int, int]) -> ResolutionTriple:
+    """mapping_cone_n_from_e's triple, not yet audited."""
     from .sheaves import line_bundle
 
     if res.flavor is not ResolutionFlavor.E_TYPE:
@@ -196,8 +204,7 @@ def mapping_cone_n_from_e(
     s = a + b
     kernel2 = res.middle.dual().twist(-s)
     middle2 = res.kernel.dual().twist(-s) + line_bundle(-a) + line_bundle(-b)
-    out = ResolutionTriple(kernel2, middle2, curve2, ResolutionFlavor.N_TYPE)
-    return _checked(out, window)
+    return ResolutionTriple(kernel2, middle2, curve2, ResolutionFlavor.N_TYPE)
 
 
 def mapping_cone_e_from_n(
@@ -215,4 +222,5 @@ def mapping_cone_e_from_n(
     kernel2 = stripped.dual().twist(-s)
     middle2 = res.kernel.dual().twist(-s)
     out = ResolutionTriple(kernel2, middle2, curve2, ResolutionFlavor.E_TYPE)
-    return _checked(out, DEFAULT_WINDOW)
+    _checked(out, DEFAULT_WINDOW)
+    return out

@@ -216,20 +216,72 @@ def test_match_agrees_with_unpruned_filter_on_seeded_targets():
 
 
 def test_count_table_agrees_with_the_section_count_oracle():
-    """A cached candidate's count at twist n, the sum of its atom keys'
-    entries in the twist's count table as matching reads it, equals
-    SheafExpr.h0, which stays the oracle; and the keys split back into the
-    candidate's lines (positive multiplicity) and spinors (negative)."""
-    candidates, pairs = _enumerate_cached(*DEFAULT_TWIST_BOUNDS)
-    assert [cand for cand, _ in pairs] == list(candidates) == enumerate_rank4_candidates()
-    assert len(pairs) == 1320
-    for cand, key in pairs:
-        assert tuple((t, m) for t, m in key if m > 0) == cand.lines
-        assert tuple((t, -m) for t, m in key if m < 0) == cand.spinors
+    """A cached candidate's count at twist n, the sum of its integer atom
+    keys' entries in the twist's count table as matching reads it, equals
+    SheafExpr.h0, which stays the oracle; and each key decodes back into the
+    candidate's lines (8(t - twist_lo) + m - 1 for m*O(t)) and spinors
+    (8(t - twist_lo) + m + 3 for m*E0(t)), lines first."""
+    twist_lo = DEFAULT_TWIST_BOUNDS[0]
+    keys = _enumerate_cached(*DEFAULT_TWIST_BOUNDS)
+    candidates = enumerate_rank4_candidates()
+    assert len(keys) == len(candidates) == 1320
+    for cand, key in zip(candidates, keys):
+        lines = [8 * (t - twist_lo) + m - 1 for t, m in cand.lines]
+        spinors = [8 * (t - twist_lo) + m + 3 for t, m in cand.spinors]
+        assert key == (*lines, *spinors), cand
     for n in range(-20, 41):
-        count_of = _count_table(*DEFAULT_TWIST_BOUNDS, n)
-        for cand, key in pairs:
+        count_of = _count_table(*DEFAULT_TWIST_BOUNDS, n).__getitem__
+        for cand, key in zip(candidates, keys):
             assert sum(map(count_of, key)) == cand.h0(n), (cand, n)
+
+
+def test_cold_match_builds_only_the_top_twist_survivors(monkeypatch):
+    """The candidate cache holds integer tuples only, and a cold match of
+    KERNEL_84 on 0:6 builds one SheafExpr per candidate that agrees at
+    twist 6, three of them, rather than all 1,320."""
+    calls = []
+    original = SheafExpr._replace_atoms
+
+    def counted(self, *args):
+        calls.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(SheafExpr, "_replace_atoms", counted)
+    _enumerate_cached.cache_clear()
+    assert match_acm_kernel(KERNEL_84, KERNEL_WINDOW) == [spinor(-2, 2)]
+    assert 1 <= len(calls) <= 3
+    keys = _enumerate_cached(*DEFAULT_TWIST_BOUNDS)
+    assert all(type(i) is int for key in keys for i in key)
+    assert {type(key) for key in keys} == {tuple}
+    _enumerate_cached.cache_clear()
+
+
+@pytest.mark.parametrize("bounds", [(-6, 3), (-2, 0), (-4, 5), (0, 9), (1, 1)])
+def test_match_and_enumeration_agree_with_the_constructor_oracle(bounds):
+    """For bounds up to (-6, 3) and shifted ones, enumeration equals the
+    constructor-built oracle, and matching equals the oracle's candidates
+    filtered by SheafExpr.h0 on every window twist, in the same order, on
+    seeded targets over -1:8, 0:6, -3:12 and a window wholly below the
+    bounds."""
+    twist_lo, twist_hi = bounds
+    oracle = constructor_enumeration(twist_lo, twist_hi)
+    assert enumerate_rank4_candidates(twist_lo, twist_hi) == list(oracle)
+    rng = random.Random(twist_lo * 100 + twist_hi)
+    windows = [(-1, 8), (0, 6), (-3, 12), (-twist_hi - 9, -twist_hi - 1)]
+    for window in windows:
+        lo, hi = window
+        for _ in range(12):
+            expr = rng.choice(oracle)
+            if rng.random() < 0.3:
+                expr = expr + rng.choice(oracle)
+            target = {n: expr.h0(n) for n in range(lo, hi + 1)}
+            if rng.random() < 0.3:
+                target[rng.randint(lo, hi)] += rng.choice((-1, 1))
+            want = [cand for cand in oracle
+                    if all(cand.h0(n) == target[n] for n in range(lo, hi + 1))]
+            got = match_acm_kernel(target, window, twist_lo, twist_hi)
+            assert got == want
+            assert [(e.lines, e.spinors) for e in got] == [(e.lines, e.spinors) for e in want]
 
 
 def test_match_agrees_with_unpruned_filter_on_edge_draws():

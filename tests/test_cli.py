@@ -166,6 +166,26 @@ def test_resolve_ntype_csv_golden(capsys):
     assert out == golden("resolve_84_ntype.csv")
 
 
+@pytest.mark.parametrize("argv, code, out, err", [
+    ("-d 8 -g 4 --via 2,3", EXIT_OK, golden("resolve_84_ntype.txt"), ""),
+    ("-d 8 -g 4 --via 2,3 --format csv", EXIT_OK, golden("resolve_84_ntype.csv"), ""),
+    ("-d 10 -g 7 --via 3,3", EXIT_INCONSISTENT, "",
+     "inconsistent: consistency check failed at twist 1: 0 != 1\n"),
+], ids=["text", "csv", "cone-fails"])
+def test_resolve_ntype_audits_its_output_once(argv, code, out, err, monkeypatch, capsys):
+    """The N-type's one audit both screens the mapping cone, raising when it
+    fails, and gives the printed report."""
+    from quadliaison import liaison
+
+    audits = []
+    audit = liaison.resolution_consistency_check
+    monkeypatch.setattr(liaison, "resolution_consistency_check",
+                        lambda *args: audits.append(args) or audit(*args))
+    got = run(capsys, "resolve", "--ambient", "q", "--ntype", "--window", "0:6", *argv.split())
+    assert got == (code, out, err)
+    assert len(audits) == 1
+
+
 def test_resolve_json_structure(capsys):
     code, out, _ = run(
         capsys, "resolve", "--ambient", "q", "-d", "4", "-g", "0",
