@@ -309,7 +309,7 @@ def cmd_resolve(args: argparse.Namespace) -> int:
         report = resolution_consistency_check(triple, window)
     elif twists is None:
         raise ValueError("--via A,B (divisor twists) is required for N-type")
-    else:  # mapping_cone_n_from_e, keeping the one audit it raises on
+    else:  # mapping_cone_n_from_e, whose one audit both raises and gives the report
         etype = _unique_etype(residual_curve(curve, *twists), window)
         triple = _cone_n_from_e(etype, twists)
         report = _checked(triple, window)
