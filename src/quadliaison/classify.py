@@ -22,7 +22,7 @@ from . import hilbert
 from .curves import (DEFAULT_WINDOW, CurveClass, Window, full_ideal_table, ideal_h0_table,
                      regularity)
 from .errors import NegativeDimension, RangeTooLarge
-from .sheaves import SheafExpr, _render_atoms
+from .sheaves import SheafExpr
 
 CANDIDATE_CAP = 10_000
 DEFAULT_TWIST_BOUNDS: tuple[int, int] = (-6, 3)
@@ -51,7 +51,7 @@ def _check_bounds(twist_lo: int, twist_hi: int) -> None:
 
 @lru_cache(maxsize=8)
 def _enumerate_cached(twist_lo: int, twist_hi: int) -> tuple[tuple[int, ...], ...]:
-    """Each candidate as its atom keys, in render order: the index in
+    """Each candidate as its atom keys, in generation order: the index in
     ``_count_table``'s list of m*O(t), 8(t - twist_lo) + m - 1, for its lines,
     then that of m*E0(t), 8(t - twist_lo) + m + 3, for its spinors, twists
     descending within each kind."""
@@ -59,13 +59,11 @@ def _enumerate_cached(twist_lo: int, twist_hi: int) -> tuple[tuple[int, ...], ..
     # descending twists make every combination a non-increasing run, whose
     # groupby runs are already canonical, and k tells the shapes apart
     twists = range(twist_hi, twist_lo - 1, -1)
-    fields = sorted(((lines, spinors) for k in (0, 1, 2)
-                     for spinors in map(_runs, combinations_with_replacement(twists, k))
-                     for lines in map(_runs, combinations_with_replacement(twists, 4 - 2 * k))),
-                    key=lambda pair: _render_atoms(*pair))
     return tuple(tuple([8 * (t - twist_lo) + m - 1 for t, m in lines]
                        + [8 * (t - twist_lo) + m + 3 for t, m in spinors])
-                 for lines, spinors in fields)
+                 for k in (0, 1, 2)
+                 for spinors in map(_runs, combinations_with_replacement(twists, k))
+                 for lines in map(_runs, combinations_with_replacement(twists, 4 - 2 * k)))
 
 
 _ZERO = SheafExpr()
@@ -82,9 +80,11 @@ def enumerate_rank4_candidates(
     twist_lo: int = DEFAULT_TWIST_BOUNDS[0],
     twist_hi: int = DEFAULT_TWIST_BOUNDS[1],
 ) -> list[SheafExpr]:
-    """All rank-4 candidate kernels with twists in [twist_lo, twist_hi]."""
+    """All rank-4 candidate kernels with twists in [twist_lo, twist_hi], sorted
+    by SheafExpr.render."""
     _check_bounds(twist_lo, twist_hi)
-    return [_candidate(key, twist_lo) for key in _enumerate_cached(twist_lo, twist_hi)]
+    return sorted((_candidate(key, twist_lo) for key in _enumerate_cached(twist_lo, twist_hi)),
+                  key=SheafExpr.render)
 
 
 def _count_table(twist_lo: int, twist_hi: int, n: int) -> list[int]:
@@ -117,8 +117,8 @@ def match_acm_kernel(
     twists t (``_count_table``); a candidate's top count is the sum of its
     cached atom keys' entries.  Only the few that agree there are built as
     SheafExprs, and checked with SheafExpr.h0 at each lower compared twist,
-    from the top down.  The keys are cached in render order, so the
-    matches come out in it.
+    from the top down.  The matches, at most a handful, come out sorted by
+    SheafExpr.render.
     """
     lo, hi = window
     if hi - lo + 1 < 5:
@@ -133,7 +133,8 @@ def match_acm_kernel(
     survivors = [_candidate(key, twist_lo) for key in _enumerate_cached(twist_lo, twist_hi)
                  if sum(map(count_of, key)) == top]
     lower = range(hi - 1, max(lo, -twist_hi) - 1, -1)
-    return [cand for cand in survivors if all(cand.h0(n) == target[n] for n in lower)]
+    return sorted((cand for cand in survivors if all(cand.h0(n) == target[n] for n in lower)),
+                  key=SheafExpr.render)
 
 
 def kernel_table_from_resolution(

@@ -294,7 +294,8 @@ def _unique_etype(curve: CurveClass, window: Window) -> ResolutionTriple:
 
 
 def cmd_resolve(args: argparse.Namespace) -> int:
-    from .liaison import _checked, _cone_n_from_e, residual_curve, resolution_consistency_check
+    from .liaison import (ResolutionFlavor, _checked, _cone, residual_curve,
+                          resolution_consistency_check)
 
     run = _Run(args)
     window = run.window()
@@ -311,7 +312,7 @@ def cmd_resolve(args: argparse.Namespace) -> int:
         raise ValueError("--via A,B (divisor twists) is required for N-type")
     else:  # mapping_cone_n_from_e, whose one audit both raises and gives the report
         etype = _unique_etype(residual_curve(curve, *twists), window)
-        triple = _cone_n_from_e(etype, twists)
+        triple = _cone(etype, twists, ResolutionFlavor.E_TYPE)
         report = _checked(triple, window)
     run.emit(
         lambda: f"{triple.render()}\n{report.render_text()}\n",

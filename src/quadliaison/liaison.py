@@ -177,50 +177,42 @@ def residual_curve(curve: CurveClass, a: int, b: int) -> CurveClass:
     return CurveClass(curve.ambient, d2, g2)
 
 
-def mapping_cone_n_from_e(
-    res: ResolutionTriple,
-    divisor_twists: tuple[int, int],
-    window: Window = DEFAULT_WINDOW,
-) -> ResolutionTriple:
-    """N-type resolution of the curve linked to res.curve by O(a), O(b).
-
-    Dualize the E-type sequence of the residual curve, twist down by
-    a+b, and append the Koszul summands O(-a), O(-b) to the middle term.
-    The output is consistency-checked before it is returned.
-    """
-    out = _cone_n_from_e(res, divisor_twists)
+def mapping_cone_n_from_e(res: ResolutionTriple, divisor_twists: tuple[int, int],
+                          window: Window = DEFAULT_WINDOW) -> ResolutionTriple:
+    """N-type resolution of the curve linked to res.curve by O(a), O(b):
+    ``_cone`` of the E-type res, consistency-checked on window before it is
+    returned."""
+    out = _cone(res, divisor_twists, ResolutionFlavor.E_TYPE)
     _checked(out, window)
     return out
 
 
-def _cone_n_from_e(res: ResolutionTriple, divisor_twists: tuple[int, int]) -> ResolutionTriple:
-    """mapping_cone_n_from_e's triple, not yet audited."""
-    from .sheaves import line_bundle
-
-    if res.flavor is not ResolutionFlavor.E_TYPE:
-        raise ValueError("input resolution must be E-type")
-    a, b = divisor_twists
-    curve2 = residual_curve(res.curve, a, b)
-    s = a + b
-    kernel2 = res.middle.dual().twist(-s)
-    middle2 = res.kernel.dual().twist(-s) + line_bundle(-a) + line_bundle(-b)
-    return ResolutionTriple(kernel2, middle2, curve2, ResolutionFlavor.N_TYPE)
-
-
-def mapping_cone_e_from_n(
-    res: ResolutionTriple, divisor_twists: tuple[int, int]
-) -> ResolutionTriple:
-    """Inverse transport: strip the Koszul summands, dualize, twist down."""
-    from .sheaves import line_bundle
-
-    if res.flavor is not ResolutionFlavor.N_TYPE:
-        raise ValueError("input resolution must be N-type")
-    a, b = divisor_twists
-    curve2 = residual_curve(res.curve, a, b)
-    s = a + b
-    stripped = res.middle.without(line_bundle(-a) + line_bundle(-b))
-    kernel2 = stripped.dual().twist(-s)
-    middle2 = res.kernel.dual().twist(-s)
-    out = ResolutionTriple(kernel2, middle2, curve2, ResolutionFlavor.E_TYPE)
+def mapping_cone_e_from_n(res: ResolutionTriple,
+                          divisor_twists: tuple[int, int]) -> ResolutionTriple:
+    """Inverse transport: ``_cone`` of the N-type res, consistency-checked on
+    -1:8 before it is returned."""
+    out = _cone(res, divisor_twists, ResolutionFlavor.N_TYPE)
     _checked(out, DEFAULT_WINDOW)
     return out
+
+
+def _cone(res: ResolutionTriple, divisor_twists: tuple[int, int],
+          flavor: ResolutionFlavor) -> ResolutionTriple:
+    """The other flavor's resolution of the curve linked to res.curve by O(a),
+    O(b), not yet audited; res must have this flavor.  Strip the Koszul
+    summands O(-a) + O(-b) from an N-type middle, dualize both terms and twist
+    them by -(a + b), swapping kernel and middle, and add the Koszul summands
+    to the new N-type middle."""
+    from .sheaves import line_bundle
+
+    if res.flavor is not flavor:
+        raise ValueError(f"input resolution must be {flavor.value}")
+    a, b = divisor_twists
+    curve = residual_curve(res.curve, a, b)
+    koszul = line_bundle(-a) + line_bundle(-b)
+    from_n = flavor is ResolutionFlavor.N_TYPE
+    stripped = res.middle.without(koszul) if from_n else res.middle
+    middle, kernel = (term.dual().twist(-(a + b)) for term in (res.kernel, stripped))
+    if from_n:
+        return ResolutionTriple(kernel, middle, curve, ResolutionFlavor.E_TYPE)
+    return ResolutionTriple(kernel, middle + koszul, curve, ResolutionFlavor.N_TYPE)

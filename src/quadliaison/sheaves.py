@@ -130,19 +130,14 @@ class SheafExpr:
         return SheafExpr(*fields)
 
     def render(self) -> str:
-        return _render_atoms(self.lines, self.spinors)
+        parts = [
+            f"{mult}*{name}({twist})" if mult >= 2 else f"{name}({twist})"
+            for name, pairs in (("O", self.lines), ("E0", self.spinors))
+            for twist, mult in pairs
+        ]
+        return " + ".join(parts) or "0"
 
     __str__ = render
-
-
-def _render_atoms(lines: Twists, spinors: Twists) -> str:
-    """The text of the sum with these canonical fields, as ``render`` gives it."""
-    parts = [
-        f"{mult}*{name}({twist})" if mult >= 2 else f"{name}({twist})"
-        for name, pairs in (("O", lines), ("E0", spinors))
-        for twist, mult in pairs
-    ]
-    return " + ".join(parts) or "0"
 
 
 def line_bundle(twist: int, multiplicity: int = 1) -> SheafExpr:

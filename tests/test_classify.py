@@ -37,7 +37,7 @@ from quadliaison import (
     spinor,
 )
 from quadliaison import hilbert
-from quadliaison.classify import _count_table, _enumerate_cached
+from quadliaison.classify import _candidate, _count_table, _enumerate_cached
 from quadliaison.liaison import residual_curve
 from quadliaison.verify import ETYPE_40, ETYPE_84
 
@@ -218,20 +218,23 @@ def test_match_agrees_with_unpruned_filter_on_seeded_targets():
 def test_count_table_agrees_with_the_section_count_oracle():
     """A cached candidate's count at twist n, the sum of its integer atom
     keys' entries in the twist's count table as matching reads it, equals
-    SheafExpr.h0, which stays the oracle; and each key decodes back into the
-    candidate's lines (8(t - twist_lo) + m - 1 for m*O(t)) and spinors
-    (8(t - twist_lo) + m + 3 for m*E0(t)), lines first."""
+    SheafExpr.h0, which stays the oracle; and each key, decoded by
+    _candidate, gives back the key from the candidate's lines
+    (8(t - twist_lo) + m - 1 for m*O(t)) and spinors (8(t - twist_lo) + m + 3
+    for m*E0(t)), lines first.  The cache is in generation order, so each key
+    is paired with its own decoding, not with the rendered enumeration."""
     twist_lo = DEFAULT_TWIST_BOUNDS[0]
     keys = _enumerate_cached(*DEFAULT_TWIST_BOUNDS)
-    candidates = enumerate_rank4_candidates()
-    assert len(keys) == len(candidates) == 1320
-    for cand, key in zip(candidates, keys):
+    decoded = [_candidate(key, twist_lo) for key in keys]
+    assert len(keys) == 1320
+    assert sorted(decoded, key=SheafExpr.render) == enumerate_rank4_candidates()
+    for cand, key in zip(decoded, keys):
         lines = [8 * (t - twist_lo) + m - 1 for t, m in cand.lines]
         spinors = [8 * (t - twist_lo) + m + 3 for t, m in cand.spinors]
         assert key == (*lines, *spinors), cand
     for n in range(-20, 41):
         count_of = _count_table(*DEFAULT_TWIST_BOUNDS, n).__getitem__
-        for cand, key in zip(candidates, keys):
+        for cand, key in zip(decoded, keys):
             assert sum(map(count_of, key)) == cand.h0(n), (cand, n)
 
 

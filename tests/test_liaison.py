@@ -6,6 +6,7 @@ formula with an independently computed total degree.
 """
 
 import random
+import re
 from itertools import combinations_with_replacement
 from math import prod
 
@@ -28,6 +29,7 @@ from quadliaison import (
     spinor,
 )
 from quadliaison import P4, ideal_h0_table
+from quadliaison.liaison import _cone, residual_curve
 
 C84 = CurveClass(QUADRIC3, 8, 4)
 C40 = CurveClass(QUADRIC3, 4, 0)
@@ -219,10 +221,10 @@ def test_mapping_cone_detects_impossible_linkage():
 
 
 def test_mapping_cone_flavor_and_ambient_guards():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^input resolution must be N-type$"):
         mapping_cone_e_from_n(ETYPE_40, (2, 3))
     derived = mapping_cone_n_from_e(ETYPE_40, (2, 3))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^input resolution must be E-type$"):
         mapping_cone_n_from_e(derived, (2, 3))
 
 
@@ -230,8 +232,53 @@ def test_mapping_cone_missing_koszul_summands():
     empty_kernel = ResolutionTriple(
         line_bundle(0, 0), line_bundle(0), C40, ResolutionFlavor.N_TYPE
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^expression lacks 1 copies of O\(-2\)$"):
         mapping_cone_e_from_n(empty_kernel, (2, 3))
+
+
+def oracle_n_from_e(res, a, b):
+    """mapping_cone_n_from_e's transport as first written, before its audit,
+    kept as the oracle."""
+    curve2 = residual_curve(res.curve, a, b)
+    s = a + b
+    kernel2 = res.middle.dual().twist(-s)
+    middle2 = res.kernel.dual().twist(-s) + line_bundle(-a) + line_bundle(-b)
+    return ResolutionTriple(kernel2, middle2, curve2, ResolutionFlavor.N_TYPE)
+
+
+def oracle_e_from_n(res, a, b):
+    """mapping_cone_e_from_n's transport as first written, before its audit,
+    kept as the oracle."""
+    curve2 = residual_curve(res.curve, a, b)
+    s = a + b
+    stripped = res.middle.without(line_bundle(-a) + line_bundle(-b))
+    kernel2 = stripped.dual().twist(-s)
+    middle2 = res.kernel.dual().twist(-s)
+    return ResolutionTriple(kernel2, middle2, curve2, ResolutionFlavor.E_TYPE)
+
+
+def test_cone_transport_equals_the_two_formula_oracle():
+    """For both published E-type triples and every (a, b) in 1..4 x 1..4,
+    the unaudited cone equals the oracle's N-type triple, including the
+    pairs whose audit then fails, and the cone of that N-type triple gives
+    back the E-type one.  A pair with no residual curve raises the oracle's
+    error with its message."""
+    audits = set()
+    for triple in (ETYPE_40, ETYPE_84):
+        for a in range(1, 5):
+            for b in range(1, 5):
+                try:
+                    want = oracle_n_from_e(triple, a, b)
+                except InfeasibleError as error:
+                    with pytest.raises(InfeasibleError, match=f"^{re.escape(str(error))}$"):
+                        _cone(triple, (a, b), ResolutionFlavor.E_TYPE)
+                    continue
+                got = _cone(triple, (a, b), ResolutionFlavor.E_TYPE)
+                assert got == want, (triple.curve, a, b)
+                back = _cone(got, (a, b), ResolutionFlavor.N_TYPE)
+                assert back == oracle_e_from_n(got, a, b) == triple, (triple.curve, a, b)
+                audits.add(resolution_consistency_check(got).ok)
+    assert audits == {True, False}
 
 
 def test_mapping_cone_inconsistent_input():
