@@ -116,9 +116,9 @@ def match_acm_kernel(
     counts m*h0(O(t + hi)) and m*h0(E0(t + hi)), m <= 4, for the w bounds
     twists t (``_count_table``); a candidate's top count is the sum of its
     cached atom keys' entries.  Only the few that agree there are built as
-    SheafExprs, and checked with SheafExpr.h0 at each lower compared twist,
-    from the top down.  The matches, at most a handful, come out sorted by
-    SheafExpr.render.
+    SheafExprs, and each one's SheafExpr.h0_row over the lower compared
+    twists max(lo, -twist_hi)..hi-1 is compared with the target's.  The
+    matches, at most a handful, come out sorted by SheafExpr.render.
     """
     lo, hi = window
     if hi - lo + 1 < 5:
@@ -132,30 +132,28 @@ def match_acm_kernel(
     count_of, top = _count_table(twist_lo, twist_hi, hi).__getitem__, target[hi]
     survivors = [_candidate(key, twist_lo) for key in _enumerate_cached(twist_lo, twist_hi)
                  if sum(map(count_of, key)) == top]
-    lower = range(hi - 1, max(lo, -twist_hi) - 1, -1)
-    return sorted((cand for cand in survivors if all(cand.h0(n) == target[n] for n in lower)),
+    below = max(lo, -twist_hi)
+    want = [target[n] for n in range(below, hi)]
+    return sorted((cand for cand in survivors if cand.h0_row(below, hi - 1) == want),
                   key=SheafExpr.render)
 
 
 def kernel_table_from_resolution(
     curve: CurveClass, middle: SheafExpr, window: Window = DEFAULT_WINDOW
 ) -> dict[int, int]:
-    """Section counts of the kernel of middle ->> I_C, twist by twist.
+    """Section counts of the kernel of middle ->> I_C over the window.
 
-    For an ACM curve the kernel has no middle cohomology, so its h0 is
-    the plain difference h0(middle(n)) - h0(I_C(n)); a negative value
-    means no surjection exists.  The ideal row is built first, so a
-    negative ideal count anywhere in the window raises before a kernel one.
+    For an ACM curve the kernel has no middle cohomology, so its row is
+    middle.h0_row minus the ideal row; its first negative entry raises, as
+    no surjection exists.  The ideal row is built first, so a negative
+    ideal count anywhere in the window raises before a kernel one.
     """
-    out: dict[int, int] = {}
-    for n, ideal in ideal_h0_table(curve.on_quadric(), window).items():
-        value = middle.h0(n) - ideal
-        if value < 0:
-            raise NegativeDimension(
-                n, value, f"kernel section count {value} < 0 at twist {n}"
-            )
-        out[n] = value
-    return out
+    ideal = ideal_h0_table(curve.on_quadric(), window)
+    row = [h0 - count for h0, count in zip(middle.h0_row(*window), ideal.values())]
+    if min(row, default=0) < 0:
+        n, value = next((n, value) for n, value in zip(ideal, row) if value < 0)
+        raise NegativeDimension(n, value, f"kernel section count {value} < 0 at twist {n}")
+    return dict(zip(ideal, row))
 
 
 class GeneratorEstimate(namedtuple("GeneratorEstimate", "counts regularity")):

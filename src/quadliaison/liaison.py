@@ -147,17 +147,15 @@ class ConsistencyReport(namedtuple("ConsistencyReport", "resolution window cells
 def resolution_consistency_check(
     res: ResolutionTriple, window: Window = DEFAULT_WINDOW
 ) -> ConsistencyReport:
-    """Audit a proposed resolution against the curve's forced section counts.
+    """Audit a resolution's middle h0_row minus its kernel's against the ideal row.
 
     Failures are reported, never raised: a defective resolution is a
     legitimate object of study.  A curve that cannot exist is not: a
     negative ideal count in the window raises NegativeDimension.
     """
-    cells = tuple(
-        CellCheck(n, res.middle.h0(n) - res.kernel.h0(n), ideal)
-        for n, ideal in ideal_h0_table(res.curve, window).items()
-    )
-    return ConsistencyReport(res, window, cells)
+    ideal = ideal_h0_table(res.curve, window)
+    lhs = [m - k for m, k in zip(res.middle.h0_row(*window), res.kernel.h0_row(*window))]
+    return ConsistencyReport(res, window, tuple(map(CellCheck, ideal, lhs, ideal.values())))
 
 
 def _checked(res: ResolutionTriple, window: Window) -> ConsistencyReport:

@@ -5,8 +5,8 @@ E0(b), so an expression is two multisets of twists: ``lines`` holds the
 twists of its O(a) summands and ``spinors`` those of its E0(b).  Each is a
 canonical tuple of (twist, multiplicity) pairs, twists strictly descending
 and no multiplicity zero, so equality is syntactic; lines render before
-spinors.  All arithmetic (rank, first Chern number, section counts on
-the quadric) is per summand and exact.
+spinors.  All arithmetic (rank, first Chern number, rows of section
+counts on the quadric) is per summand and exact.
 """
 
 from __future__ import annotations
@@ -101,15 +101,18 @@ class SheafExpr:
             tuple((shift - twist, mult) for twist, mult in reversed(self.spinors)),
         )
 
-    def h0(self, n: int) -> int:
+    def h0_row(self, lo: int, hi: int) -> list[int]:
+        """h0 of the sum at twists lo..hi: per summand one hilbert row, scaled
+        by its multiplicity, and the rows added column by column."""
         # looked up in hilbert on each call, so a wrapper installed later sees every count
-        line_h0, spinor_h0 = hilbert.h0_quadric3, hilbert.h0_spinor
-        total = 0
-        for twist, mult in self.lines:
-            total += line_h0(twist + n) * mult
-        for twist, mult in self.spinors:
-            total += spinor_h0(twist + n) * mult
-        return total
+        rows = [[h0 * mult for h0 in hilbert.h0_quadric3_row(twist + lo, twist + hi)]
+                for twist, mult in self.lines]
+        rows += [[h0 * mult for h0 in map(hilbert.h0_spinor, range(twist + lo, twist + hi + 1))]
+                 for twist, mult in self.spinors]
+        return [sum(column) for column in zip([0] * (hi - lo + 1), *rows)]
+
+    def h0(self, n: int) -> int:
+        return self.h0_row(n, n)[0]
 
     def __add__(self, other: "SheafExpr") -> "SheafExpr":
         if not isinstance(other, SheafExpr):

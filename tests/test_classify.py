@@ -316,15 +316,18 @@ def test_match_agrees_with_unpruned_filter_on_edge_draws():
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Wraps the atom counts and SheafExpr.h0.  counts["atoms"] gets the twist
-    k of every h0(O(k)) or h0(E0(k)) on Q made through hilbert.h0_quadric3,
-    hilbert.h0_quadric3_row or hilbert.h0_spinor, counts["rows"] the (lo, hi)
-    of every hilbert.h0_quadric3_row call, counts["sums"] every SheafExpr.h0
-    twist and counts["receivers"] the expression of each of those calls."""
-    found = {"atoms": [], "rows": [], "sums": [], "receivers": []}
+    """Wraps the atom counts, SheafExpr.h0 and SheafExpr.h0_row.
+    counts["atoms"] gets the twist k of every h0(O(k)) or h0(E0(k)) on Q made
+    through hilbert.h0_quadric3, hilbert.h0_quadric3_row or hilbert.h0_spinor,
+    counts["rows"] the (lo, hi) of every hilbert.h0_quadric3_row call,
+    counts["sums"] every SheafExpr.h0 twist, counts["receivers"] the
+    expression of each of those calls and counts["sum_rows"] the
+    (expression, lo, hi) of every SheafExpr.h0_row call."""
+    found = {"atoms": [], "rows": [], "sums": [], "receivers": [], "sum_rows": []}
     atoms = found["atoms"]
-    h0, h0_row, h0_spinor, sum_h0 = (
-        hilbert.h0_quadric3, hilbert.h0_quadric3_row, hilbert.h0_spinor, SheafExpr.h0
+    h0, h0_row, h0_spinor, sum_h0, sum_row = (
+        hilbert.h0_quadric3, hilbert.h0_quadric3_row, hilbert.h0_spinor, SheafExpr.h0,
+        SheafExpr.h0_row,
     )
 
     def counted_row(lo, hi):
@@ -337,10 +340,15 @@ def counts(monkeypatch):
         found["receivers"].append(self)
         return sum_h0(self, n)
 
+    def counted_sum_row(self, lo, hi):
+        found["sum_rows"].append((self, lo, hi))
+        return sum_row(self, lo, hi)
+
     monkeypatch.setattr(hilbert, "h0_quadric3", lambda k: atoms.append(k) or h0(k))
     monkeypatch.setattr(hilbert, "h0_quadric3_row", counted_row)
     monkeypatch.setattr(hilbert, "h0_spinor", lambda k: atoms.append(k) or h0_spinor(k))
     monkeypatch.setattr(SheafExpr, "h0", counted_sum)
+    monkeypatch.setattr(SheafExpr, "h0_row", counted_sum_row)
     return found
 
 
@@ -349,20 +357,25 @@ def clear(counts):
         found.clear()
 
 
+def summands(expr):
+    return len(expr.lines) + len(expr.spinors)
+
+
 def test_match_work_does_not_grow_below_the_twist_bounds(counts):
     """Twists below -twist_hi cost no section counts, so a window reaching
     down to -9999 does the work of one reaching down to -9: one count table
-    at twist 6, then SheafExpr.h0 checks of its survivors at twists 5 down
-    to -3 only."""
+    at twist 6, then one SheafExpr.h0_row of each survivor over twists -3
+    to 5 only."""
     kernel = spinor(-2, 2)
     results = {}
     for lo in (-9, -9999):
         target = {n: kernel.h0(n) for n in range(lo, 7)}
         clear(counts)
         got = match_acm_kernel(target, (lo, 6))
-        assert counts["rows"] == [(0, 9)]  # the bounds twists -6..3, shifted by 6
-        assert set(counts["sums"]) <= set(range(-3, 6))
-        results[lo] = got, len(counts["atoms"]), counts["sums"][:]
+        assert counts["rows"][0] == (0, 9)  # the bounds twists -6..3, shifted by 6
+        assert {(a, b) for _, a, b in counts["sum_rows"]} == {(-3, 5)}
+        assert counts["sums"] == []
+        results[lo] = got, len(counts["atoms"]), counts["rows"][:], counts["sum_rows"][:]
     assert results[-9999] == results[-9]
     assert results[-9][0] == filter_match(target, (-9, 6), -6, 3)
     assert kernel in results[-9][0]
@@ -374,61 +387,91 @@ def test_match_compares_from_the_top_twist(counts, target):
     window's top twist hi: it counts h0(O(t + hi)) and then h0(E0(t + hi))
     once for each of the w twists t of the bounds, 2 * w atom counts from
     one h0_quadric3_row call, and reads every candidate's top count off
-    them.  Every other atom count comes from a SheafExpr.h0 check, at a
-    lower twist, of a candidate that agrees at hi."""
+    them.  Every other atom count comes from one SheafExpr.h0_row, over the
+    twists lo..hi-1 below it, of each candidate that agrees at hi, and
+    matching makes no SheafExpr.h0 call."""
     lo, hi = KERNEL_WINDOW
     twist_lo, twist_hi = DEFAULT_TWIST_BOUNDS
     width = twist_hi - twist_lo + 1
     survivors = {cand for cand in enumerate_rank4_candidates() if cand.h0(hi) == target[hi]}
     clear(counts)
     got = match_acm_kernel(target, KERNEL_WINDOW)
-    assert counts["rows"] == [(twist_lo + hi, twist_hi + hi)]
+    assert counts["rows"][0] == (twist_lo + hi, twist_hi + hi)
     assert counts["atoms"][:2 * width] == [*range(twist_lo + hi, twist_hi + hi + 1)] * 2
-    assert set(counts["receivers"]) <= survivors
-    assert set(counts["sums"]) <= set(range(lo, hi))
-    summands = sum(len(cand.lines) + len(cand.spinors) for cand in counts["receivers"])
-    assert len(counts["atoms"]) == 2 * width + summands
+    receivers = [cand for cand, *_ in counts["sum_rows"]]
+    assert sorted(receivers, key=SheafExpr.render) == sorted(survivors, key=SheafExpr.render)
+    assert {(a, b) for _, a, b in counts["sum_rows"]} <= {(lo, hi - 1)}
+    assert counts["rows"][1:] == [(twist + lo, twist + hi - 1)
+                                  for cand in receivers for twist, _ in cand.lines]
+    assert counts["sums"] == []
+    assert len(counts["atoms"]) == 2 * width + (hi - lo) * sum(map(summands, receivers))
     assert got == filter_match(target, KERNEL_WINDOW, *DEFAULT_TWIST_BOUNDS)
 
 
 @pytest.mark.parametrize("top, compared", [(81, 1), (79, 2), (80, 7)])
 def test_match_stops_once_no_candidate_is_left(counts, top, compared):
     """KERNEL_84 with its twist-6 count raised to 81 fits no candidate at the
-    top twist, so matching makes no SheafExpr.h0 call; at 79 two candidates
-    are left there and each fails its first check, at twist 5; the true
-    count, 80, leaves three: 2*E0(-2) is checked down to twist 0, six calls,
-    and the other two fail at twist 5."""
-    calls, receivers = {81: (0, 0), 79: (2, 2), 80: (8, 3)}[top]
+    top twist, so matching counts nothing below it; at 79 two candidates are
+    left there, each counted once on twists 0..5, and both leave the target
+    at twist 5; the true count, 80, leaves three: 2*E0(-2) agrees down to
+    twist 0 and the other two leave the target at twist 5.  ``compared`` is
+    the number of twists from the top down to where the last survivor
+    leaves the target."""
     target = {**KERNEL_84, 6: top}
     twist_lo, twist_hi = DEFAULT_TWIST_BOUNDS
-    hi = KERNEL_WINDOW[1]
+    lo, hi = KERNEL_WINDOW
     survivors = {cand for cand in enumerate_rank4_candidates() if cand.h0(hi) == top}
     clear(counts)
     got = match_acm_kernel(target, KERNEL_WINDOW)
-    assert counts["rows"] == [(twist_lo + hi, twist_hi + hi)]
+    assert counts["rows"][0] == (twist_lo + hi, twist_hi + hi)
     assert counts["atoms"][:2 * (twist_hi - twist_lo + 1)] == [
         k + hi for _ in "OE" for k in range(twist_lo, twist_hi + 1)]
-    assert {hi, *counts["sums"]} == set(range(hi, hi - compared, -1))
-    assert len(counts["sums"]) == calls
-    assert set(counts["receivers"]) <= survivors
-    assert len(set(counts["receivers"])) == receivers
+    receivers = [cand for cand, *_ in counts["sum_rows"]]
+    assert len(receivers) == len(set(receivers)) == {81: 0, 79: 2, 80: 3}[top]
+    assert set(receivers) == survivors
+    assert counts["sum_rows"] == [(cand, lo, hi - 1) for cand in receivers]
+    assert counts["sums"] == []
     assert got == filter_match(target, KERNEL_WINDOW, *DEFAULT_TWIST_BOUNDS)
     assert got == ([spinor(-2, 2)] if top == 80 else [])
+
+    def leaves(cand):  # the top twist below hi where cand's count leaves the target, else lo
+        return next((n for n in range(hi - 1, lo - 1, -1) if cand.h0(n) != target[n]), lo)
+
+    assert hi - min(map(leaves, receivers), default=hi) + 1 == compared
 
 
 def test_match_on_a_wide_window_builds_one_count_table(counts):
     """2*E0(-2)'s row on the 10,000-twist window 990001:1000000: one count
-    table, at twist 1000000, whose one survivor gets a SheafExpr.h0 check at
-    each of the 9,999 twists below it.  A table per compared twist would
-    make 10,000 h0_quadric3_row calls."""
+    table, at twist 1000000, whose one survivor gets one SheafExpr.h0_row
+    over the 9,999 twists below it, and no SheafExpr.h0 call.  A table per
+    compared twist would make 10,000 h0_quadric3_row calls."""
     kernel = spinor(-2, 2)
     window = (990_001, 1_000_000)
-    target = {n: kernel.h0(n) for n in range(window[0], window[1] + 1)}
+    target = dict(zip(range(window[0], window[1] + 1), kernel.h0_row(*window)))
     clear(counts)
     assert match_acm_kernel(target, window) == [kernel]
-    assert len(counts["rows"]) == 1
-    assert len(counts["sums"]) <= 9_999
-    assert set(counts["receivers"]) == {kernel}
+    assert counts["rows"] == [(1_000_000 - 6, 1_000_000 + 3)]
+    assert counts["sum_rows"] == [(kernel, 990_001, 999_999)]
+    assert counts["sums"] == []
+
+
+def test_audit_and_kernel_table_count_one_row_per_summand(counts):
+    """On the 10,000-twist window 990001:1000000 the audit and the kernel
+    table make no SheafExpr.h0 call: each takes one SheafExpr.h0_row of
+    each term over the window, that is one h0_quadric3_row per line summand
+    and one h0_spinor call per twist of each spinor summand."""
+    lo, hi = window = (990_001, 1_000_000)
+    for res in ETYPE_84, ETYPE_40, mapping_cone_n_from_e(ETYPE_40, (2, 3)):
+        for call, terms in (
+            (lambda: resolution_consistency_check(res, window), (res.middle, res.kernel)),
+            (lambda: kernel_table_from_resolution(res.curve, res.middle, window), (res.middle,)),
+        ):
+            clear(counts)
+            call()
+            assert counts["sums"] == []
+            assert counts["sum_rows"] == [(term, lo, hi) for term in terms]
+            assert counts["rows"] == [(t + lo, t + hi) for term in terms for t, _ in term.lines]
+            assert len(counts["atoms"]) == (hi - lo + 1) * sum(map(summands, terms))
 
 
 def test_kernel_table_from_resolution():

@@ -190,12 +190,45 @@ def test_h0_agrees_with_atomwise_oracle():
     assert spinor_sums > 100
 
 
+def test_h0_row_agrees_with_atomwise_oracle():
+    """Seeded sums of rank at most 6 with twists in -8..4 on empty, wholly
+    negative and straddling windows, and one sum on 990001:1000000:
+    h0_row(lo, hi) is atomwise_h0 at each twist, and h0(n) its one entry
+    at n."""
+    rng = random.Random("h0-row")
+    windows = [(0, -1), (5, 4), (-9, -3), (-4, 0), (-3, 1), (-2, 2), (-6, 9), (2, 2), (-1, 8)]
+    seen, ranks = set(), set()
+    for _ in range(200):
+        expr = SheafExpr()
+        for _ in range(rng.randint(0, 6)):
+            kind = spinor if rng.random() < 0.5 else line_bundle
+            atom = kind(rng.randint(-8, 4), rng.randint(1, 3))
+            if (expr + atom).rank <= 6:
+                expr += atom
+        seen.update(mult for _, mult in expr.lines + expr.spinors)
+        ranks.add(expr.rank)
+        for lo, hi in windows:
+            assert expr.h0_row(lo, hi) == [atomwise_h0(expr, n) for n in range(lo, hi + 1)]
+        for n in (-9, -1, 0, 1, 2, 7):
+            assert expr.h0(n) == expr.h0_row(n, n)[0] == atomwise_h0(expr, n)
+    # the draws reach every rank up to 6, the zero sum included, and multiplicities 1..3 and more
+    assert ranks == set(range(7)) and {1, 2, 3, 4} <= seen
+    wide = line_bundle(-2) + line_bundle(-3, 4) + spinor(-1, 2)
+    row = wide.h0_row(990_001, 1_000_000)
+    assert len(row) == 10_000
+    assert row[::999] == [atomwise_h0(wide, n) for n in range(990_001, 1_000_001, 999)]
+    assert row[-1] == atomwise_h0(wide, 1_000_000)
+
+
 def test_h0_reads_the_counts_at_call_time(monkeypatch):
-    """SheafExpr.h0 looks up hilbert.h0_quadric3 and hilbert.h0_spinor on
-    each call, so a wrapper installed on either one after import sees
-    every count; it makes no Ambient.h0 call."""
+    """SheafExpr.h0_row, and h0 through it, looks up hilbert.h0_quadric3_row
+    and hilbert.h0_spinor on each call, so a wrapper installed on either one
+    after import sees every count: one row per line summand and one spinor
+    count per twist of each spinor summand.  It makes no h0_quadric3 and no
+    Ambient.h0 call."""
     calls = []
-    for owner, name in ((hilbert, "h0_quadric3"), (hilbert, "h0_spinor"), (Ambient, "h0")):
+    for owner, name in ((hilbert, "h0_quadric3_row"), (hilbert, "h0_quadric3"),
+                        (hilbert, "h0_spinor"), (Ambient, "h0")):
         original = getattr(owner, name)
 
         def counted(*args, _name=name, _original=original):
@@ -205,4 +238,7 @@ def test_h0_reads_the_counts_at_call_time(monkeypatch):
         monkeypatch.setattr(owner, name, counted)
     expr = spinor(-1, 2) + line_bundle(-2, 3) + line_bundle(0)
     assert expr.h0(3) == 2 * 4 + 3 * 5 + 30
-    assert sorted(calls) == ["h0_quadric3", "h0_quadric3", "h0_spinor"]
+    assert sorted(calls) == ["h0_quadric3_row", "h0_quadric3_row", "h0_spinor"]
+    calls.clear()
+    assert expr.h0_row(0, 3) == [1, 5, 14 + 3, 30 + 3 * 5 + 2 * 4]
+    assert sorted(calls) == ["h0_quadric3_row"] * 2 + ["h0_spinor"] * 4
