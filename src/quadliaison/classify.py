@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Mapping
 from functools import lru_cache
-from itertools import combinations_with_replacement, groupby
+from itertools import combinations_with_replacement
 
 from . import hilbert
 from .curves import (DEFAULT_WINDOW, CurveClass, Window, full_ideal_table, ideal_h0_table,
@@ -35,11 +35,6 @@ def rank4_candidate_count(twist_lo: int, twist_hi: int) -> int:
     return w * hilbert.binom(w + 1, 2) + hilbert.binom(w + 1, 2) + hilbert.binom(w + 3, 4)
 
 
-def _runs(combo: tuple) -> tuple:
-    """A non-increasing tuple of twists as canonical (twist, multiplicity) pairs."""
-    return tuple((twist, len(list(run))) for twist, run in groupby(combo))
-
-
 def _check_bounds(twist_lo: int, twist_hi: int) -> None:
     """Refuse an empty twist range, and one with more candidates than the cap."""
     if twist_lo > twist_hi:
@@ -51,29 +46,22 @@ def _check_bounds(twist_lo: int, twist_hi: int) -> None:
 
 @lru_cache(maxsize=8)
 def _enumerate_cached(twist_lo: int, twist_hi: int) -> tuple[tuple[int, ...], ...]:
-    """Each candidate as its atom keys, in generation order: the index in
-    ``_count_table``'s list of m*O(t), 8(t - twist_lo) + m - 1, for its lines,
-    then that of m*E0(t), 8(t - twist_lo) + m + 3, for its spinors, twists
-    descending within each kind."""
-    # k spinors and 4 - 2k lines, as rank4_candidate_count counts them;
-    # descending twists make every combination a non-increasing run, whose
-    # groupby runs are already canonical, and k tells the shapes apart
-    twists = range(twist_hi, twist_lo - 1, -1)
-    return tuple(tuple([8 * (t - twist_lo) + m - 1 for t, m in lines]
-                       + [8 * (t - twist_lo) + m + 3 for t, m in spinors])
+    """Each candidate as one index per summand into ``_count_table``'s row,
+    in generation order: w + t - twist_lo for each E0(t), then t - twist_lo
+    for each O(t), w the number of bounds twists."""
+    # k spinors and 4 - 2k lines, as rank4_candidate_count counts them
+    w = twist_hi - twist_lo + 1
+    return tuple(spinors + lines
                  for k in (0, 1, 2)
-                 for spinors in map(_runs, combinations_with_replacement(twists, k))
-                 for lines in map(_runs, combinations_with_replacement(twists, 4 - 2 * k)))
+                 for spinors in combinations_with_replacement(range(w, 2 * w), k)
+                 for lines in combinations_with_replacement(range(w), 4 - 2 * k))
 
 
-_ZERO = SheafExpr()
-
-
-def _candidate(key: tuple[int, ...], twist_lo: int) -> SheafExpr:
-    """The candidate of a cached key, built with one ``_replace_atoms`` call."""
-    lines = tuple((twist_lo + i // 8, i % 8 + 1) for i in key if i % 8 < 4)
-    spinors = tuple((twist_lo + i // 8, i % 8 - 3) for i in key if i % 8 > 3)
-    return _ZERO._replace_atoms(lines, spinors)
+def _candidate(key: tuple[int, ...], twist_lo: int, twist_hi: int) -> SheafExpr:
+    """The candidate of a cached key; the constructor merges repeated twists."""
+    w = twist_hi - twist_lo + 1
+    return SheafExpr([(twist_lo + i, 1) for i in key if i < w],
+                     [(twist_lo + i - w, 1) for i in key if i >= w])
 
 
 def enumerate_rank4_candidates(
@@ -83,18 +71,16 @@ def enumerate_rank4_candidates(
     """All rank-4 candidate kernels with twists in [twist_lo, twist_hi], sorted
     by SheafExpr.render."""
     _check_bounds(twist_lo, twist_hi)
-    return sorted((_candidate(key, twist_lo) for key in _enumerate_cached(twist_lo, twist_hi)),
-                  key=SheafExpr.render)
+    return sorted((_candidate(key, twist_lo, twist_hi)
+                   for key in _enumerate_cached(twist_lo, twist_hi)), key=SheafExpr.render)
 
 
 def _count_table(twist_lo: int, twist_hi: int, n: int) -> list[int]:
-    """The counts at twist n of the atom keys of ``_enumerate_cached``, for t
-    in the bounds and 1 <= m <= 4: m * h0(O(t + n)) at 8(t - twist_lo) + m - 1
-    and m * h0(E0(t + n)) at 8(t - twist_lo) + m + 3."""
-    shifted = range(twist_lo + n, twist_hi + n + 1)
-    lines = hilbert.h0_quadric3_row(twist_lo + n, twist_hi + n)  # before the lazy spinor row
-    return [c * m for pair in zip(lines, map(hilbert.h0_spinor, shifted)) for c in pair
-            for m in (1, 2, 3, 4)]
+    """The counts at twist n of the summand indices of ``_enumerate_cached``:
+    h0(O(t + n)) at t - twist_lo, then h0(E0(t + n)) at w + t - twist_lo."""
+    row = hilbert.h0_quadric3_row(twist_lo + n, twist_hi + n)
+    row += map(hilbert.h0_spinor, range(twist_lo + n, twist_hi + n + 1))
+    return row
 
 
 def match_acm_kernel(
@@ -112,13 +98,13 @@ def match_acm_kernel(
     t + n >= 0, E0(t) needs t + n >= 2 and every t is at most twist_hi.
     So a target that is nonzero there matches nothing, and otherwise only
     the twists from max(lo, -twist_hi) up are compared.  The top twist hi,
-    where counts separate candidates best, gets one table of the 8w atom
-    counts m*h0(O(t + hi)) and m*h0(E0(t + hi)), m <= 4, for the w bounds
-    twists t (``_count_table``); a candidate's top count is the sum of its
-    cached atom keys' entries.  Only the few that agree there are built as
-    SheafExprs, and each one's SheafExpr.h0_row over the lower compared
-    twists max(lo, -twist_hi)..hi-1 is compared with the target's.  The
-    matches, at most a handful, come out sorted by SheafExpr.render.
+    where counts separate candidates best, gets one table of the 2w atom
+    counts h0(O(t + hi)) and h0(E0(t + hi)) for the w bounds twists t
+    (``_count_table``); a candidate's top count is the sum of the entries
+    at its cached key's summand indices.  Only the few that agree there are
+    built as SheafExprs, and each one's SheafExpr.h0_row over the lower
+    compared twists max(lo, -twist_hi)..hi-1 is compared with the target's.
+    The matches, at most a handful, come out sorted by SheafExpr.render.
     """
     lo, hi = window
     if hi - lo + 1 < 5:
@@ -130,7 +116,8 @@ def match_acm_kernel(
     if any(target[n] for n in range(lo, min(hi + 1, -twist_hi))):
         return []
     count_of, top = _count_table(twist_lo, twist_hi, hi).__getitem__, target[hi]
-    survivors = [_candidate(key, twist_lo) for key in _enumerate_cached(twist_lo, twist_hi)
+    survivors = [_candidate(key, twist_lo, twist_hi)
+                 for key in _enumerate_cached(twist_lo, twist_hi)
                  if sum(map(count_of, key)) == top]
     below = max(lo, -twist_hi)
     want = [target[n] for n in range(below, hi)]

@@ -308,12 +308,13 @@ def cmd_resolve(args: argparse.Namespace) -> int:
     if flavor == "etype":
         triple = _unique_etype(curve, window)
         report = resolution_consistency_check(triple, window)
+        ok = report.ok
     elif twists is None:
         raise ValueError("--via A,B (divisor twists) is required for N-type")
-    else:  # mapping_cone_n_from_e, whose one audit both raises and gives the report
+    else:  # mapping_cone_n_from_e: its one audit raises unless it passes, and gives the report
         etype = _unique_etype(residual_curve(curve, *twists), window)
         triple = _cone(etype, twists, ResolutionFlavor.E_TYPE)
-        report = _checked(triple, window)
+        report, ok = _checked(triple, window), True
     run.emit(
         lambda: f"{triple.render()}\n{report.render_text()}\n",
         report.render_csv,
@@ -324,7 +325,7 @@ def cmd_resolve(args: argparse.Namespace) -> int:
             "middle": triple.middle.render(),
             "curve": _curve_json(triple.curve),
             "consistency": {
-                "ok": report.ok,
+                "ok": ok,
                 "window": list(window),
                 "rank_diff": triple.rank_diff,
                 "c1_diff": triple.c1_diff,
@@ -332,7 +333,7 @@ def cmd_resolve(args: argparse.Namespace) -> int:
             },
         },
     )
-    return EXIT_OK if report.ok else EXIT_INCONSISTENT
+    return EXIT_OK if ok else EXIT_INCONSISTENT
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

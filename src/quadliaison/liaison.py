@@ -137,7 +137,7 @@ class ConsistencyReport(namedtuple("ConsistencyReport", "resolution window cells
         if fail is not None:
             return f"consistency FAIL at n={fail.twist}: {fail.lhs} != {fail.rhs}"
         res = self.resolution
-        if not self.ok:  # every cell passed, so the rank or c1 diff is off
+        if (res.rank_diff, res.c1_diff) != (1, 0):  # every cell passed; only the diffs can fail
             return (f"consistency FAIL: rank diff {res.rank_diff} (want 1), "
                     f"c1 diff {res.c1_diff} (want 0)")
         lo, hi = self.window

@@ -123,22 +123,48 @@ def test_enumeration_equals_constructor_oracle(bounds):
     assert [hash(expr) for expr in got] == [hash(expr) for expr in want]
 
 
-def test_cold_enumeration_builds_each_candidate_once(monkeypatch):
-    """One constructor call (the shared zero sheaf) and one canonical
-    _replace_atoms per candidate, with no intermediate sums."""
-    calls = {"__post_init__": 0, "_replace_atoms": 0}
-    for name in calls:
+def count_builds(monkeypatch):
+    """Counts SheafExpr constructions: calls["new"] those through the
+    constructor, calls["bypass"] those through _replace_atoms."""
+    calls = {"new": 0, "bypass": 0}
+    for key, name in ("new", "__post_init__"), ("bypass", "_replace_atoms"):
         original = getattr(SheafExpr, name)
 
-        def counted(self, *args, _name=name, _original=original):
-            calls[_name] += 1
+        def counted(self, *args, _key=key, _original=original):
+            calls[_key] += 1
             return _original(self, *args)
 
         monkeypatch.setattr(SheafExpr, name, counted)
+    return calls
+
+
+def test_cold_enumeration_builds_each_candidate_once(monkeypatch):
+    """One constructor call per candidate, with no intermediate sums and no
+    _replace_atoms bypass."""
+    calls = count_builds(monkeypatch)
     _enumerate_cached.cache_clear()
     assert len(enumerate_rank4_candidates(-6, 3)) == 1320
-    assert calls["__post_init__"] <= 1
-    assert calls["_replace_atoms"] == 1320
+    assert calls == {"new": 1320, "bypass": 0}
+    _enumerate_cached.cache_clear()
+
+
+@pytest.mark.parametrize("bounds", [(0, 0), (-1, 0), (-6, 3), (2, 5), (-10, 3)])
+def test_keys_hold_one_index_per_summand(monkeypatch, bounds):
+    """A cold key build constructs no SheafExpr; each key holds 4 - k
+    indices for k spinors, each in range(2w) for w bounds twists, and the
+    count table at any twist has 2w entries, one per index."""
+    twist_lo, twist_hi = bounds
+    w = twist_hi - twist_lo + 1
+    calls = count_builds(monkeypatch)
+    _enumerate_cached.cache_clear()
+    keys = _enumerate_cached(twist_lo, twist_hi)
+    assert calls == {"new": 0, "bypass": 0}
+    assert len(keys) == len(set(keys)) == rank4_candidate_count(twist_lo, twist_hi)
+    for key in keys:
+        k = sum(i >= w for i in key)
+        assert len(key) == 4 - k and set(key) <= set(range(2 * w)), key
+    for n in (-20, 0, 6, 1_000_000):
+        assert len(_count_table(twist_lo, twist_hi, n)) == 2 * w
     _enumerate_cached.cache_clear()
 
 
@@ -216,43 +242,38 @@ def test_match_agrees_with_unpruned_filter_on_seeded_targets():
 
 
 def test_count_table_agrees_with_the_section_count_oracle():
-    """A cached candidate's count at twist n, the sum of its integer atom
-    keys' entries in the twist's count table as matching reads it, equals
-    SheafExpr.h0, which stays the oracle; and each key, decoded by
-    _candidate, gives back the key from the candidate's lines
-    (8(t - twist_lo) + m - 1 for m*O(t)) and spinors (8(t - twist_lo) + m + 3
-    for m*E0(t)), lines first.  The cache is in generation order, so each key
-    is paired with its own decoding, not with the rendered enumeration."""
-    twist_lo = DEFAULT_TWIST_BOUNDS[0]
-    keys = _enumerate_cached(*DEFAULT_TWIST_BOUNDS)
-    decoded = [_candidate(key, twist_lo) for key in keys]
+    """A cached candidate's count at twist n, the sum of its key's entries in
+    the twist's count table as matching reads it, equals SheafExpr.h0, which
+    stays the oracle; and each key, decoded by _candidate, gives back the
+    key from the candidate's spinors (w + t - twist_lo once per copy of
+    E0(t)) and lines (t - twist_lo once per copy of O(t)), spinors first,
+    ascending within each kind.  The cache is in generation order, so each
+    key is paired with its own decoding, not with the rendered enumeration."""
+    twist_lo, twist_hi = DEFAULT_TWIST_BOUNDS
+    w = twist_hi - twist_lo + 1
+    keys = _enumerate_cached(twist_lo, twist_hi)
+    decoded = [_candidate(key, twist_lo, twist_hi) for key in keys]
     assert len(keys) == 1320
     assert sorted(decoded, key=SheafExpr.render) == enumerate_rank4_candidates()
     for cand, key in zip(decoded, keys):
-        lines = [8 * (t - twist_lo) + m - 1 for t, m in cand.lines]
-        spinors = [8 * (t - twist_lo) + m + 3 for t, m in cand.spinors]
-        assert key == (*lines, *spinors), cand
+        spinors = sorted(w + t - twist_lo for t, m in cand.spinors for _ in range(m))
+        lines = sorted(t - twist_lo for t, m in cand.lines for _ in range(m))
+        assert key == (*spinors, *lines), cand
     for n in range(-20, 41):
-        count_of = _count_table(*DEFAULT_TWIST_BOUNDS, n).__getitem__
+        count_of = _count_table(twist_lo, twist_hi, n).__getitem__
         for cand, key in zip(decoded, keys):
             assert sum(map(count_of, key)) == cand.h0(n), (cand, n)
 
 
 def test_cold_match_builds_only_the_top_twist_survivors(monkeypatch):
     """The candidate cache holds integer tuples only, and a cold match of
-    KERNEL_84 on 0:6 builds one SheafExpr per candidate that agrees at
+    KERNEL_84 on 0:6 constructs one SheafExpr per candidate that agrees at
     twist 6, three of them, rather than all 1,320."""
-    calls = []
-    original = SheafExpr._replace_atoms
-
-    def counted(self, *args):
-        calls.append(args)
-        return original(self, *args)
-
-    monkeypatch.setattr(SheafExpr, "_replace_atoms", counted)
+    calls = count_builds(monkeypatch)
     _enumerate_cached.cache_clear()
-    assert match_acm_kernel(KERNEL_84, KERNEL_WINDOW) == [spinor(-2, 2)]
-    assert 1 <= len(calls) <= 3
+    got = match_acm_kernel(KERNEL_84, KERNEL_WINDOW)
+    assert calls == {"new": 3, "bypass": 0}
+    assert got == [spinor(-2, 2)]
     keys = _enumerate_cached(*DEFAULT_TWIST_BOUNDS)
     assert all(type(i) is int for key in keys for i in key)
     assert {type(key) for key in keys} == {tuple}

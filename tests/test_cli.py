@@ -186,6 +186,33 @@ def test_resolve_ntype_audits_its_output_once(argv, code, out, err, monkeypatch,
     assert len(audits) == 1
 
 
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize("flavor", [["--etype"], ["--ntype", "--via", "2,3"]],
+                         ids=["etype", "ntype"])
+def test_resolve_reads_each_audit_cell_at_most_twice(flavor, fmt, monkeypatch, capsys):
+    """On the 10,000-twist window 990001:1000000 a passing audit's cells are
+    read at most twice each in every format: once for its verdict (the
+    N-type's one audit raises unless it passes) and once for the output."""
+    from quadliaison.liaison import CellCheck
+
+    reads = []
+    ok = CellCheck.ok
+    monkeypatch.setattr(CellCheck, "ok", property(lambda cell: reads.append(1) or ok.fget(cell)))
+    code, out, err = run(capsys, "resolve", "--ambient", "q", "-d", "8", "-g", "4", *flavor,
+                         "--window=990001:1000000", "--format", fmt)
+    assert (code, err) == (EXIT_OK, "")
+    assert len(reads) <= 20_000
+    if fmt == "text":
+        assert out.splitlines()[1] == ("consistency PASS over n in [990001,1000000]"
+                                       " (rank diff 1, c1 diff 0)")
+    elif fmt == "csv":
+        rows = out.splitlines()[1:]
+        assert len(rows) == 10_000 and all(row.endswith(",true") for row in rows)
+    else:
+        got = json.loads(out)["consistency"]
+        assert got["ok"] is True and [c[3] for c in got["cells"]] == [True] * 10_000
+
+
 def test_resolve_json_structure(capsys):
     code, out, _ = run(
         capsys, "resolve", "--ambient", "q", "-d", "4", "-g", "0",

@@ -362,9 +362,8 @@ def test_nonspecial_threshold_matches_scan_on_random_classes():
 
 
 @pytest.mark.parametrize("degree", [0, -1])
-@pytest.mark.parametrize("count", [
-    lambda d: nonspecial_threshold(d, 0), plane_genus, quadric_surface_genus_spectrum,
-], ids=["nonspecial_threshold", "plane_genus", "quadric_surface_genus_spectrum"])
+@pytest.mark.parametrize("count", [lambda d: nonspecial_threshold(d, 0)],
+                         ids=["nonspecial_threshold"])
 def test_genus_formulas_refuse_a_degree_below_1(count, degree):
     with pytest.raises(ValueError, match="^degree must be positive$"):
         count(degree)
