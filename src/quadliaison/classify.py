@@ -7,7 +7,10 @@ ACM kernel is one of three shapes: E0(a)+O(b)+O(c), E0(a)+E0(b), or a
 sum of four line bundles.  Matching filters them by section counts over
 a finite window, by default DEFAULT_WINDOW (-1:8) as in the CLI, from one
 table of atom counts at its top twist per call; it does not pin the kernel
-down.  It tries rank 4 whatever the rank of the middle term, its answer
+down.  Two exact exits come before any candidate is read: a target
+nonzero below -twist_hi, where no candidate has sections, and a top count
+outside the range of every shape, since no atom count decreases as its
+twist rises.  It tries rank 4 whatever the rank of the middle term, its answer
 can change with the window, and it may return no candidate or several.
 """
 
@@ -100,10 +103,16 @@ def match_acm_kernel(
     the twists from max(lo, -twist_hi) up are compared.  The top twist hi,
     where counts separate candidates best, gets one table of the 2w atom
     counts h0(O(t + hi)) and h0(E0(t + hi)) for the w bounds twists t
-    (``_count_table``); a candidate's top count is the sum of the entries
-    at its cached key's summand indices.  Only the few that agree there are
-    built as SheafExprs, and each one's SheafExpr.h0_row over the lower
-    compared twists max(lo, -twist_hi)..hi-1 is compared with the target's.
+    (``_count_table``).  Both counts do not decrease as t rises, so a sum
+    of k spinors and 4 - 2k lines counts at hi between its value with every
+    twist at twist_lo and its value with every twist at twist_hi.  A top
+    count in none of the three ranges (k = 0, 1, 2) matches nothing, so this
+    exact rule, the top-twist companion of the exit below -twist_hi, returns
+    before any key is read.  Otherwise a candidate's top count is the sum of
+    the entries at its cached key's summand indices.  Only the few that
+    agree there are built as SheafExprs, and each one's SheafExpr.h0_row
+    over the lower compared twists max(lo, -twist_hi)..hi-1 is compared
+    with the target's.
     The matches, at most a handful, come out sorted by SheafExpr.render.
     """
     lo, hi = window
@@ -115,7 +124,11 @@ def match_acm_kernel(
     _check_bounds(twist_lo, twist_hi)
     if any(target[n] for n in range(lo, min(hi + 1, -twist_hi))):
         return []
-    count_of, top = _count_table(twist_lo, twist_hi, hi).__getitem__, target[hi]
+    row, top, w = _count_table(twist_lo, twist_hi, hi), target[hi], twist_hi - twist_lo + 1
+    if not any(k * row[w] + (4 - 2 * k) * row[0] <= top <= k * row[-1] + (4 - 2 * k) * row[w - 1]
+               for k in (0, 1, 2)):
+        return []
+    count_of = row.__getitem__
     survivors = [_candidate(key, twist_lo, twist_hi)
                  for key in _enumerate_cached(twist_lo, twist_hi)
                  if sum(map(count_of, key)) == top]

@@ -2,7 +2,7 @@
 
 import random
 from collections import Counter
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -474,6 +474,85 @@ def test_match_on_a_wide_window_builds_one_count_table(counts):
     assert counts["rows"] == [(1_000_000 - 6, 1_000_000 + 3)]
     assert counts["sum_rows"] == [(kernel, 990_001, 999_999)]
     assert counts["sums"] == []
+
+
+@pytest.mark.parametrize("top", [6, 8, 1_000_000])
+@pytest.mark.parametrize("bounds", [DEFAULT_TWIST_BOUNDS, (-4, 5), (0, 9)])
+def test_top_count_rule_is_exact_at_each_shapes_edges(bounds, top):
+    """For k = 0, 1, 2 the shape's lowest and highest top count are those of
+    k*E0(t) + (4 - 2k)*O(t) at t = twist_lo and t = twist_hi.  At each, and
+    one past it on either side, over that candidate's own lower twists,
+    matching returns exactly what the unpruned filter returns."""
+    twist_lo, twist_hi = bounds
+    window = (top - 6, top)
+    for k, t in product((0, 1, 2), bounds):
+        edge = spinor(t, k) + line_bundle(t, 4 - 2 * k)
+        row = dict(zip(range(window[0], top + 1), edge.h0_row(*window)))
+        for step in (-1, 0, 1):
+            target = {**row, top: row[top] + step}
+            want = filter_match(target, window, twist_lo, twist_hi)
+            assert match_acm_kernel(target, window, twist_lo, twist_hi) == want, (k, edge, step)
+            assert (edge in want) == (step == 0)
+
+
+@pytest.mark.parametrize("bounds", [DEFAULT_TWIST_BOUNDS, (-4, 5), (0, 9), (2, 2), (-1, 0)])
+def test_count_table_halves_do_not_decrease(bounds):
+    """The premise of the top-count rule: h0(O(t + n)) and h0(E0(t + n)),
+    the two halves of the count table, do not decrease as t rises."""
+    twist_lo, twist_hi = bounds
+    w = twist_hi - twist_lo + 1
+    for n in (*range(-20, 41), -1_000_000, 1_000_000):
+        row = _count_table(twist_lo, twist_hi, n)
+        for half in row[:w], row[w:]:
+            assert half == sorted(half), (n, half)
+
+
+@pytest.mark.parametrize("step", [-1, 1])
+@pytest.mark.parametrize("top", [6, 1_000_000])
+def test_top_count_outside_every_range_reads_no_key(monkeypatch, counts, top, step):
+    """A top count one below the lowest shape's minimum or one above the
+    highest shape's maximum: matching builds the one count table, reads
+    ``_enumerate_cached`` zero times and builds no SheafExpr."""
+    twist_lo, twist_hi = DEFAULT_TWIST_BOUNDS
+    window = (top - 6, top)
+    edge = spinor(twist_lo, 2) if step < 0 else line_bundle(twist_hi, 4)
+    target = dict(zip(range(window[0], top + 1), edge.h0_row(*window)))
+    target[top] += step
+    assert filter_match(target, window, twist_lo, twist_hi) == []
+    reads = _enumerate_cached.cache_info()
+    calls = count_builds(monkeypatch)
+    clear(counts)
+    assert match_acm_kernel(target, window) == []
+    after = _enumerate_cached.cache_info()
+    assert after.hits + after.misses == reads.hits + reads.misses
+    assert calls == {"new": 0, "bypass": 0}
+    assert counts["rows"] == [(twist_lo + top, twist_hi + top)]
+    assert counts["sum_rows"] == [] and counts["sums"] == []
+
+
+@pytest.mark.parametrize("window, ended", [((-1, 8), 359), ((0, 6), 290)])
+def test_top_count_rule_ends_most_q_class_matches(window, ended):
+    """Of the Q classes with d <= 20 and 0 <= g < 4d, the 543 whose E-type
+    kernel table can be built reach matching; the top-count rule ends
+    ``ended`` of them before any key is read, each with no match, and the
+    others read the keys once."""
+    reached = read = 0
+    for d in range(1, 21):
+        for g in range(4 * d):
+            curve = CurveClass(QUADRIC3, d, g)
+            try:
+                target = kernel_table_from_resolution(curve, etype_middle(curve), window)
+            except (NegativeDimension, ValueError):
+                continue
+            reached += 1
+            before = _enumerate_cached.cache_info()
+            got = match_acm_kernel(target, window)
+            after = _enumerate_cached.cache_info()
+            scanned = after.hits + after.misses - before.hits - before.misses
+            assert scanned in (0, 1)
+            assert scanned or got == []
+            read += scanned
+    assert (reached, reached - read) == (543, ended)
 
 
 def test_audit_and_kernel_table_count_one_row_per_summand(counts):
