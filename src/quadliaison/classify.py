@@ -10,7 +10,10 @@ table of atom counts at its top twist per call; it does not pin the kernel
 down.  Two exact exits come before any candidate is read: a target
 nonzero below -twist_hi, where no candidate has sections, and a top count
 outside the range of every shape, since no atom count decreases as its
-twist rises.  It tries rank 4 whatever the rank of the middle term, its answer
+twist rises.  Otherwise each candidate's top count is the sum of two cached
+halves, its first line pair and its last for four lines, else its spinors
+and its lines, and the 121 halves of the default bounds are counted once per
+call.  It tries rank 4 whatever the rank of the middle term, its answer
 can change with the window, and it may return no candidate or several.
 """
 
@@ -19,7 +22,8 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Mapping
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement, compress, repeat
+from operator import add, eq
 
 from . import hilbert
 from .curves import (DEFAULT_WINDOW, CurveClass, Window, full_ideal_table, ideal_h0_table,
@@ -48,16 +52,33 @@ def _check_bounds(twist_lo: int, twist_hi: int) -> None:
 
 
 @lru_cache(maxsize=8)
-def _enumerate_cached(twist_lo: int, twist_hi: int) -> tuple[tuple[int, ...], ...]:
+def _enumerate_cached(twist_lo: int, twist_hi: int) -> tuple[tuple, ...]:
     """Each candidate as one index per summand into ``_count_table``'s row,
     in generation order: w + t - twist_lo for each E0(t), then t - twist_lo
-    for each O(t), w the number of bounds twists."""
-    # k spinors and 4 - 2k lines, as rank4_candidate_count counts them
+    for each O(t), w the number of bounds twists.  Then the half table, two
+    columns of row indices, 2w (past the row) reading as 0, for (), each
+    line pair, each E0 and each E0 pair; and per key the half index of its
+    left half (its first line pair, else its spinors) and of its right half
+    (its last line pair, else its lines)."""
     w = twist_hi - twist_lo + 1
-    return tuple(spinors + lines
-                 for k in (0, 1, 2)
-                 for spinors in combinations_with_replacement(range(w, 2 * w), k)
-                 for lines in combinations_with_replacement(range(w), 4 - 2 * k))
+    pairs = tuple(combinations_with_replacement(range(w), 2))
+    p = len(pairs)
+    # k = 0, 1, 2 spinors and 4 - 2k lines, as rank4_candidate_count counts them
+    keys = (*combinations_with_replacement(range(w), 4),
+            *chain.from_iterable(map(add, repeat((s,)), pairs) for s in range(w, 2 * w)),
+            *combinations_with_replacement(range(w, 2 * w), 2))
+    xs, ys = zip(*pairs)
+    halves = ((2 * w, *xs, *range(w, 2 * w), *map(w.__add__, xs)),
+              (2 * w, *ys, *repeat(2 * w, w), *map(w.__add__, ys)))
+    # () is half 0, the line pairs 1..p, the E0s p+1..p+w and the E0 pairs after them;
+    # the line pair (a, b) is followed by the p - first[b] line pairs (c, d) with c >= b
+    first = [b * w - b * (b - 1) // 2 for b in range(w)]
+    left = (*chain.from_iterable(repeat(1 + i, p - first[b]) for i, (_, b) in enumerate(pairs)),
+            *chain.from_iterable(repeat(1 + p + s, p) for s in range(w)),
+            *range(1 + p + w, 1 + 2 * p + w))
+    right = (*chain.from_iterable(range(1 + first[b], 1 + p) for _, b in pairs),
+             *chain.from_iterable(repeat(range(1, 1 + p), w)), *repeat(0, p))
+    return keys, halves, left, right
 
 
 def _candidate(key: tuple[int, ...], twist_lo: int, twist_hi: int) -> SheafExpr:
@@ -75,7 +96,7 @@ def enumerate_rank4_candidates(
     by SheafExpr.render."""
     _check_bounds(twist_lo, twist_hi)
     return sorted((_candidate(key, twist_lo, twist_hi)
-                   for key in _enumerate_cached(twist_lo, twist_hi)), key=SheafExpr.render)
+                   for key in _enumerate_cached(twist_lo, twist_hi)[0]), key=SheafExpr.render)
 
 
 def _count_table(twist_lo: int, twist_hi: int, n: int) -> list[int]:
@@ -108,11 +129,13 @@ def match_acm_kernel(
     twist at twist_lo and its value with every twist at twist_hi.  A top
     count in none of the three ranges (k = 0, 1, 2) matches nothing, so this
     exact rule, the top-twist companion of the exit below -twist_hi, returns
-    before any key is read.  Otherwise a candidate's top count is the sum of
-    the entries at its cached key's summand indices.  Only the few that
-    agree there are built as SheafExprs, and each one's SheafExpr.h0_row
-    over the lower compared twists max(lo, -twist_hi)..hi-1 is compared
-    with the target's.
+    before any key is read.  Otherwise the cached half table, (), each line
+    pair, each E0 and each E0 pair, is counted off the table in one pass,
+    and a candidate's top count is the count of its left half plus that of
+    its right half, read through the two cached half index columns, so the
+    scan adds two counts per key.  Only the few that agree there are built
+    as SheafExprs, and each one's SheafExpr.h0_row over the lower compared
+    twists max(lo, -twist_hi)..hi-1 is compared with the target's.
     The matches, at most a handful, come out sorted by SheafExpr.render.
     """
     lo, hi = window
@@ -128,10 +151,12 @@ def match_acm_kernel(
     if not any(k * row[w] + (4 - 2 * k) * row[0] <= top <= k * row[-1] + (4 - 2 * k) * row[w - 1]
                for k in (0, 1, 2)):
         return []
-    count_of = row.__getitem__
+    keys, (xs, ys), left, right = _enumerate_cached(twist_lo, twist_hi)
+    row.append(0)
+    half = list(map(add, map(row.__getitem__, xs), map(row.__getitem__, ys)))
+    tops = map(add, map(half.__getitem__, left), map(half.__getitem__, right))
     survivors = [_candidate(key, twist_lo, twist_hi)
-                 for key in _enumerate_cached(twist_lo, twist_hi)
-                 if sum(map(count_of, key)) == top]
+                 for key in compress(keys, map(eq, tops, repeat(top)))]
     below = max(lo, -twist_hi)
     want = [target[n] for n in range(below, hi)]
     return sorted((cand for cand in survivors if cand.h0_row(below, hi - 1) == want),

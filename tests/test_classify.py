@@ -36,7 +36,7 @@ from quadliaison import (
     SheafExpr,
     spinor,
 )
-from quadliaison import hilbert
+from quadliaison import classify, hilbert
 from quadliaison.classify import _candidate, _count_table, _enumerate_cached
 from quadliaison.liaison import residual_curve
 from quadliaison.verify import ETYPE_40, ETYPE_84
@@ -152,12 +152,15 @@ def test_cold_enumeration_builds_each_candidate_once(monkeypatch):
 def test_keys_hold_one_index_per_summand(monkeypatch, bounds):
     """A cold key build constructs no SheafExpr; each key holds 4 - k
     indices for k spinors, each in range(2w) for w bounds twists, and the
-    count table at any twist has 2w entries, one per index."""
+    count table at any twist has 2w entries, one per index.  The half table
+    beside the keys has 1 + w + w(w + 1) halves, two equally long columns
+    of indices in range(2w + 1), and there is one left and one right half
+    index per key, each into the half table."""
     twist_lo, twist_hi = bounds
     w = twist_hi - twist_lo + 1
     calls = count_builds(monkeypatch)
     _enumerate_cached.cache_clear()
-    keys = _enumerate_cached(twist_lo, twist_hi)
+    keys, halves, left, right = _enumerate_cached(twist_lo, twist_hi)
     assert calls == {"new": 0, "bypass": 0}
     assert len(keys) == len(set(keys)) == rank4_candidate_count(twist_lo, twist_hi)
     for key in keys:
@@ -165,6 +168,10 @@ def test_keys_hold_one_index_per_summand(monkeypatch, bounds):
         assert len(key) == 4 - k and set(key) <= set(range(2 * w)), key
     for n in (-20, 0, 6, 1_000_000):
         assert len(_count_table(twist_lo, twist_hi, n)) == 2 * w
+    assert [len(column) for column in halves] == [1 + w + w * (w + 1)] * 2
+    assert set().union(*halves) <= set(range(2 * w + 1))
+    assert len(left) == len(right) == len(keys)
+    assert set(left) | set(right) <= set(range(len(halves[0])))
     _enumerate_cached.cache_clear()
 
 
@@ -243,15 +250,17 @@ def test_match_agrees_with_unpruned_filter_on_seeded_targets():
 
 def test_count_table_agrees_with_the_section_count_oracle():
     """A cached candidate's count at twist n, the sum of its key's entries in
-    the twist's count table as matching reads it, equals SheafExpr.h0, which
-    stays the oracle; and each key, decoded by _candidate, gives back the
-    key from the candidate's spinors (w + t - twist_lo once per copy of
-    E0(t)) and lines (t - twist_lo once per copy of O(t)), spinors first,
-    ascending within each kind.  The cache is in generation order, so each
-    key is paired with its own decoding, not with the rendered enumeration."""
+    the twist's count table, and the same count as matching reads it, its
+    left half's count plus its right half's, each read off the count table
+    with a 0 appended, both equal SheafExpr.h0, which stays the oracle; and
+    each key, decoded by _candidate, gives back the key from the candidate's
+    spinors (w + t - twist_lo once per copy of E0(t)) and lines
+    (t - twist_lo once per copy of O(t)), spinors first, ascending within
+    each kind.  The cache is in generation order, so each key is paired with
+    its own decoding, not with the rendered enumeration."""
     twist_lo, twist_hi = DEFAULT_TWIST_BOUNDS
     w = twist_hi - twist_lo + 1
-    keys = _enumerate_cached(twist_lo, twist_hi)
+    keys, (xs, ys), left, right = _enumerate_cached(twist_lo, twist_hi)
     decoded = [_candidate(key, twist_lo, twist_hi) for key in keys]
     assert len(keys) == 1320
     assert sorted(decoded, key=SheafExpr.render) == enumerate_rank4_candidates()
@@ -260,24 +269,92 @@ def test_count_table_agrees_with_the_section_count_oracle():
         lines = sorted(t - twist_lo for t, m in cand.lines for _ in range(m))
         assert key == (*spinors, *lines), cand
     for n in range(-20, 41):
-        count_of = _count_table(twist_lo, twist_hi, n).__getitem__
-        for cand, key in zip(decoded, keys):
-            assert sum(map(count_of, key)) == cand.h0(n), (cand, n)
+        row = _count_table(twist_lo, twist_hi, n) + [0]
+        half = [row[x] + row[y] for x, y in zip(xs, ys)]
+        for cand, key, i, j in zip(decoded, keys, left, right):
+            assert sum(map(row.__getitem__, key)) == half[i] + half[j] == cand.h0(n), (cand, n)
 
 
 def test_cold_match_builds_only_the_top_twist_survivors(monkeypatch):
-    """The candidate cache holds integer tuples only, and a cold match of
-    KERNEL_84 on 0:6 constructs one SheafExpr per candidate that agrees at
-    twist 6, three of them, rather than all 1,320."""
+    """The candidate cache holds integer tuples only, keys, half table and
+    half index columns alike, and a cold match of KERNEL_84 on 0:6
+    constructs one SheafExpr per candidate that agrees at twist 6, three of
+    them, rather than all 1,320."""
     calls = count_builds(monkeypatch)
     _enumerate_cached.cache_clear()
     got = match_acm_kernel(KERNEL_84, KERNEL_WINDOW)
     assert calls == {"new": 3, "bypass": 0}
     assert got == [spinor(-2, 2)]
-    keys = _enumerate_cached(*DEFAULT_TWIST_BOUNDS)
-    assert all(type(i) is int for key in keys for i in key)
-    assert {type(key) for key in keys} == {tuple}
+    keys, halves, left, right = _enumerate_cached(*DEFAULT_TWIST_BOUNDS)
+    for table in keys, halves:
+        assert all(type(i) is int for entry in table for i in entry)
+        assert {type(entry) for entry in table} == {tuple}
+    assert all(type(i) is int for i in (*left, *right))
+    assert {type(left), type(right)} == {tuple}
     _enumerate_cached.cache_clear()
+
+
+SCAN_BOUNDS = [(0, 0), (1, 1), (-1, 0), (-6, 3), (-4, 5), (0, 9)]
+
+
+def half_atoms(twist_lo, twist_hi):
+    """The halves, built apart from the cache as tuples of summand indices:
+    (), each line pair, each E0 and each E0 pair, in that order."""
+    w = twist_hi - twist_lo + 1
+    return [(), *combinations_with_replacement(range(w), 2),
+            *((w + s,) for s in range(w)), *combinations_with_replacement(range(w, 2 * w), 2)]
+
+
+@pytest.mark.parametrize("bounds", SCAN_BOUNDS)
+def test_half_table_counts_each_half_as_its_atoms(bounds):
+    """Each half's count, read off the two half columns of a count table with
+    a 0 appended, is the sum of its atoms' entries in the count table, and
+    each key is its left half's atoms followed by its right half's: the
+    first line pair and then the last for four lines, else the spinors and
+    then the lines."""
+    twist_lo, twist_hi = bounds
+    keys, (xs, ys), left, right = _enumerate_cached(twist_lo, twist_hi)
+    atoms = half_atoms(twist_lo, twist_hi)
+    assert len(xs) == len(ys) == len(atoms)
+    assert [atoms[i] + atoms[j] for i, j in zip(left, right)] == list(keys)
+    for n in (*range(-20, 41), 1_000_000):
+        row = _count_table(twist_lo, twist_hi, n)
+        padded = row + [0]
+        for x, y, half in zip(xs, ys, atoms):
+            assert padded[x] + padded[y] == sum(row[i] for i in half), (n, half)
+
+
+class _Unbuilt:
+    """Stands for a survivor of the top-twist scan: it records its key and
+    agrees with no target below the top twist, so matching returns []."""
+
+    def __init__(self, key, scanned):
+        scanned.append(key)
+
+    def h0_row(self, lo, hi):
+        return None
+
+
+@pytest.mark.parametrize("bounds", SCAN_BOUNDS)
+def test_scan_keeps_the_per_key_sum_survivors(monkeypatch, bounds):
+    """At each twist n in -20..40 and 10**6, and for each distinct top count
+    some key has there, the keys matching hands to _candidate are those
+    whose per-key sum over the count table, the scan as first written and
+    kept here as the oracle, equals that count, in generation order."""
+    twist_lo, twist_hi = bounds
+    keys = _enumerate_cached(twist_lo, twist_hi)[0]
+    scanned = []
+    monkeypatch.setattr(classify, "_candidate", lambda key, *_: _Unbuilt(key, scanned))
+    for n in (*range(-20, 41), 1_000_000):
+        count_of = _count_table(twist_lo, twist_hi, n).__getitem__
+        oracle = {}
+        for key in keys:
+            oracle.setdefault(sum(map(count_of, key)), []).append(key)
+        for top, want in oracle.items():
+            target = {m: 0 for m in range(n - 4, n)} | {n: top}
+            scanned.clear()
+            assert match_acm_kernel(target, (n - 4, n), twist_lo, twist_hi) == []
+            assert scanned == want, (n, top)
 
 
 @pytest.mark.parametrize("bounds", [(-6, 3), (-2, 0), (-4, 5), (0, 9), (1, 1)])
