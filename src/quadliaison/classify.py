@@ -5,25 +5,19 @@ Every indecomposable ACM bundle on the quadric threefold is a twisted
 line bundle or a twist of the rank-2 spinor-type bundle, so a rank-4
 ACM kernel is one of three shapes: E0(a)+O(b)+O(c), E0(a)+E0(b), or a
 sum of four line bundles.  Matching filters them by section counts over
-a finite window, by default DEFAULT_WINDOW (-1:8) as in the CLI, from one
-table of atom counts at its top twist per call; it does not pin the kernel
-down.  Two exact exits come before any candidate is read: a target
-nonzero below -twist_hi, where no candidate has sections, and a top count
-outside the range of every shape, since no atom count decreases as its
-twist rises.  Otherwise each candidate's top count is the sum of two cached
-halves, its first line pair and its last for four lines, else its spinors
-and its lines, and the 121 halves of the default bounds are counted once per
-call.  It tries rank 4 whatever the rank of the middle term, its answer
-can change with the window, and it may return no candidate or several.
+a finite window, by default DEFAULT_WINDOW (-1:8) as in the CLI; it does
+not pin the kernel down.  At the window's top twist it decodes the
+candidates with the target's count from the line pairs grouped by their
+count, after two exact exits, and checks only those below it.  It tries
+rank 4 whatever the rank of the middle term, its answer can change with
+the window, and it may return no candidate or several.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Mapping
-from functools import lru_cache
-from itertools import chain, combinations_with_replacement, compress, repeat
-from operator import add, eq
+from itertools import combinations_with_replacement
 
 from . import hilbert
 from .curves import (DEFAULT_WINDOW, CurveClass, Window, full_ideal_table, ideal_h0_table,
@@ -51,43 +45,6 @@ def _check_bounds(twist_lo: int, twist_hi: int) -> None:
         raise RangeTooLarge(count, CANDIDATE_CAP)
 
 
-@lru_cache(maxsize=8)
-def _enumerate_cached(twist_lo: int, twist_hi: int) -> tuple[tuple, ...]:
-    """Each candidate as one index per summand into ``_count_table``'s row,
-    in generation order: w + t - twist_lo for each E0(t), then t - twist_lo
-    for each O(t), w the number of bounds twists.  Then the half table, two
-    columns of row indices, 2w (past the row) reading as 0, for (), each
-    line pair, each E0 and each E0 pair; and per key the half index of its
-    left half (its first line pair, else its spinors) and of its right half
-    (its last line pair, else its lines)."""
-    w = twist_hi - twist_lo + 1
-    pairs = tuple(combinations_with_replacement(range(w), 2))
-    p = len(pairs)
-    # k = 0, 1, 2 spinors and 4 - 2k lines, as rank4_candidate_count counts them
-    keys = (*combinations_with_replacement(range(w), 4),
-            *chain.from_iterable(map(add, repeat((s,)), pairs) for s in range(w, 2 * w)),
-            *combinations_with_replacement(range(w, 2 * w), 2))
-    xs, ys = zip(*pairs)
-    halves = ((2 * w, *xs, *range(w, 2 * w), *map(w.__add__, xs)),
-              (2 * w, *ys, *repeat(2 * w, w), *map(w.__add__, ys)))
-    # () is half 0, the line pairs 1..p, the E0s p+1..p+w and the E0 pairs after them;
-    # the line pair (a, b) is followed by the p - first[b] line pairs (c, d) with c >= b
-    first = [b * w - b * (b - 1) // 2 for b in range(w)]
-    left = (*chain.from_iterable(repeat(1 + i, p - first[b]) for i, (_, b) in enumerate(pairs)),
-            *chain.from_iterable(repeat(1 + p + s, p) for s in range(w)),
-            *range(1 + p + w, 1 + 2 * p + w))
-    right = (*chain.from_iterable(range(1 + first[b], 1 + p) for _, b in pairs),
-             *chain.from_iterable(repeat(range(1, 1 + p), w)), *repeat(0, p))
-    return keys, halves, left, right
-
-
-def _candidate(key: tuple[int, ...], twist_lo: int, twist_hi: int) -> SheafExpr:
-    """The candidate of a cached key; the constructor merges repeated twists."""
-    w = twist_hi - twist_lo + 1
-    return SheafExpr([(twist_lo + i, 1) for i in key if i < w],
-                     [(twist_lo + i - w, 1) for i in key if i >= w])
-
-
 def enumerate_rank4_candidates(
     twist_lo: int = DEFAULT_TWIST_BOUNDS[0],
     twist_hi: int = DEFAULT_TWIST_BOUNDS[1],
@@ -95,16 +52,15 @@ def enumerate_rank4_candidates(
     """All rank-4 candidate kernels with twists in [twist_lo, twist_hi], sorted
     by SheafExpr.render."""
     _check_bounds(twist_lo, twist_hi)
-    return sorted((_candidate(key, twist_lo, twist_hi)
-                   for key in _enumerate_cached(twist_lo, twist_hi)[0]), key=SheafExpr.render)
-
-
-def _count_table(twist_lo: int, twist_hi: int, n: int) -> list[int]:
-    """The counts at twist n of the summand indices of ``_enumerate_cached``:
-    h0(O(t + n)) at t - twist_lo, then h0(E0(t + n)) at w + t - twist_lo."""
-    row = hilbert.h0_quadric3_row(twist_lo + n, twist_hi + n)
-    row += map(hilbert.h0_spinor, range(twist_lo + n, twist_hi + n + 1))
-    return row
+    twists = range(twist_lo, twist_hi + 1)
+    pairs = list(combinations_with_replacement(twists, 2))
+    # k = 0, 1, 2 spinors and 4 - 2k lines, as rank4_candidate_count counts them
+    shapes = [(quad, ()) for quad in combinations_with_replacement(twists, 4)]
+    shapes += [(pair, (s,)) for s in twists for pair in pairs]
+    shapes += [((), pair) for pair in pairs]
+    # the constructor merges repeated twists
+    return sorted((SheafExpr([(t, 1) for t in lines], [(t, 1) for t in spinors])
+                   for lines, spinors in shapes), key=SheafExpr.render)
 
 
 def match_acm_kernel(
@@ -119,24 +75,19 @@ def match_acm_kernel(
     the cubic growth patterns of the three families.
 
     Below twist -twist_hi no candidate has sections, since O(t) needs
-    t + n >= 0, E0(t) needs t + n >= 2 and every t is at most twist_hi.
-    So a target that is nonzero there matches nothing, and otherwise only
-    the twists from max(lo, -twist_hi) up are compared.  The top twist hi,
-    where counts separate candidates best, gets one table of the 2w atom
-    counts h0(O(t + hi)) and h0(E0(t + hi)) for the w bounds twists t
-    (``_count_table``).  Both counts do not decrease as t rises, so a sum
-    of k spinors and 4 - 2k lines counts at hi between its value with every
-    twist at twist_lo and its value with every twist at twist_hi.  A top
-    count in none of the three ranges (k = 0, 1, 2) matches nothing, so this
-    exact rule, the top-twist companion of the exit below -twist_hi, returns
-    before any key is read.  Otherwise the cached half table, (), each line
-    pair, each E0 and each E0 pair, is counted off the table in one pass,
-    and a candidate's top count is the count of its left half plus that of
-    its right half, read through the two cached half index columns, so the
-    scan adds two counts per key.  Only the few that agree there are built
-    as SheafExprs, and each one's SheafExpr.h0_row over the lower compared
-    twists max(lo, -twist_hi)..hi-1 is compared with the target's.
-    The matches, at most a handful, come out sorted by SheafExpr.render.
+    t + n >= 0, E0(t) needs t + n >= 2 and every t is at most twist_hi, so
+    a target nonzero there matches nothing.  At the top twist hi the atom
+    counts h0(O(t + hi)) and h0(E0(t + hi)) of the bounds twists t do not
+    decrease as t rises, so a top count outside every shape's range, from
+    all twists at twist_lo to all at twist_hi, matches nothing either.
+    Otherwise the line pairs a <= b are grouped by their top count, and
+    the candidates with the target's top count are read off those groups:
+    four lines as a pair plus a pair of the remaining count starting at
+    or above its last twist, E0(s) plus a pair of the remaining count, and
+    the E0 pairs whose counts add up.  Only these are built as SheafExprs,
+    and each one's SheafExpr.h0_row over the lower compared twists
+    max(lo, -twist_hi)..hi-1 is compared with the target's.  The matches,
+    at most a handful, come out sorted by SheafExpr.render.
     """
     lo, hi = window
     if hi - lo + 1 < 5:
@@ -147,18 +98,24 @@ def match_acm_kernel(
     _check_bounds(twist_lo, twist_hi)
     if any(target[n] for n in range(lo, min(hi + 1, -twist_hi))):
         return []
-    row, top, w = _count_table(twist_lo, twist_hi, hi), target[hi], twist_hi - twist_lo + 1
-    if not any(k * row[w] + (4 - 2 * k) * row[0] <= top <= k * row[-1] + (4 - 2 * k) * row[w - 1]
-               for k in (0, 1, 2)):
+    twists, top = range(twist_lo, twist_hi + 1), target[hi]
+    line = dict(zip(twists, hilbert.h0_quadric3_row(twist_lo + hi, twist_hi + hi)))
+    e = dict(zip(twists, map(hilbert.h0_spinor, range(twist_lo + hi, twist_hi + hi + 1))))
+    if not any(k * e[twist_lo] + (4 - 2 * k) * line[twist_lo] <= top
+               <= k * e[twist_hi] + (4 - 2 * k) * line[twist_hi] for k in (0, 1, 2)):
         return []
-    keys, (xs, ys), left, right = _enumerate_cached(twist_lo, twist_hi)
-    row.append(0)
-    half = list(map(add, map(row.__getitem__, xs), map(row.__getitem__, ys)))
-    tops = map(add, map(half.__getitem__, left), map(half.__getitem__, right))
-    survivors = [_candidate(key, twist_lo, twist_hi)
-                 for key in compress(keys, map(eq, tops, repeat(top)))]
+    pairs: dict[int, list[tuple[int, int]]] = {}
+    for a, b in combinations_with_replacement(twists, 2):
+        pairs.setdefault(line[a] + line[b], []).append((a, b))
+    found = [((a, b, c, d), ()) for count, group in pairs.items() for a, b in group
+             for c, d in pairs.get(top - count, ()) if c >= b]
+    found += [(pair, (s,)) for s in twists for pair in pairs.get(top - e[s], ())]
+    # the groups hold every pair s <= t once, so they list the E0 pairs too
+    found += [((), (s, t)) for group in pairs.values() for s, t in group if e[s] + e[t] == top]
     below = max(lo, -twist_hi)
     want = [target[n] for n in range(below, hi)]
+    survivors = (SheafExpr([(t, 1) for t in lines], [(t, 1) for t in spinors])
+                 for lines, spinors in found)
     return sorted((cand for cand in survivors if cand.h0_row(below, hi - 1) == want),
                   key=SheafExpr.render)
 

@@ -21,22 +21,6 @@ def test_every_traced_name_exists(monkeypatch):
     tracing.require_names()
 
 
-def test_candidate_cache_reports_cold_builds():
-    """The traced run counts an enumerate call as cold when the cache's
-    miss count rises; without cache_info() it would count every call."""
-    from quadliaison import classify
-
-    cache = classify._enumerate_cached
-    cache.cache_clear()
-    before = cache.cache_info()
-    classify.enumerate_rank4_candidates(-1, 0)
-    cold = cache.cache_info()
-    classify.enumerate_rank4_candidates(-1, 0)
-    warm = cache.cache_info()
-    assert (cold.misses - before.misses, cold.hits - before.hits) == (1, 0)
-    assert (warm.misses - cold.misses, warm.hits - cold.hits) == (0, 1)
-
-
 def test_the_benchmark_call_shapes_hold():
     """One call of each shape that perfbench/ makes, on (8,4) on Q:
     workloads.Resolve.run, probe_child.py and workloads.Tables.run."""

@@ -37,7 +37,6 @@ from quadliaison import (
     spinor,
 )
 from quadliaison import classify, hilbert
-from quadliaison.classify import _candidate, _count_table, _enumerate_cached
 from quadliaison.liaison import residual_curve
 from quadliaison.verify import ETYPE_40, ETYPE_84
 
@@ -115,7 +114,6 @@ def constructor_enumeration(lo, hi):
 
 @pytest.mark.parametrize("bounds", [(0, 0), (-1, 0), (-2, 0), (-6, 3), (-10, 3), (2, 5)])
 def test_enumeration_equals_constructor_oracle(bounds):
-    _enumerate_cached.cache_clear()
     got = tuple(enumerate_rank4_candidates(*bounds))
     want = constructor_enumeration(*bounds)
     assert got == want
@@ -142,37 +140,8 @@ def test_cold_enumeration_builds_each_candidate_once(monkeypatch):
     """One constructor call per candidate, with no intermediate sums and no
     _replace_atoms bypass."""
     calls = count_builds(monkeypatch)
-    _enumerate_cached.cache_clear()
     assert len(enumerate_rank4_candidates(-6, 3)) == 1320
     assert calls == {"new": 1320, "bypass": 0}
-    _enumerate_cached.cache_clear()
-
-
-@pytest.mark.parametrize("bounds", [(0, 0), (-1, 0), (-6, 3), (2, 5), (-10, 3)])
-def test_keys_hold_one_index_per_summand(monkeypatch, bounds):
-    """A cold key build constructs no SheafExpr; each key holds 4 - k
-    indices for k spinors, each in range(2w) for w bounds twists, and the
-    count table at any twist has 2w entries, one per index.  The half table
-    beside the keys has 1 + w + w(w + 1) halves, two equally long columns
-    of indices in range(2w + 1), and there is one left and one right half
-    index per key, each into the half table."""
-    twist_lo, twist_hi = bounds
-    w = twist_hi - twist_lo + 1
-    calls = count_builds(monkeypatch)
-    _enumerate_cached.cache_clear()
-    keys, halves, left, right = _enumerate_cached(twist_lo, twist_hi)
-    assert calls == {"new": 0, "bypass": 0}
-    assert len(keys) == len(set(keys)) == rank4_candidate_count(twist_lo, twist_hi)
-    for key in keys:
-        k = sum(i >= w for i in key)
-        assert len(key) == 4 - k and set(key) <= set(range(2 * w)), key
-    for n in (-20, 0, 6, 1_000_000):
-        assert len(_count_table(twist_lo, twist_hi, n)) == 2 * w
-    assert [len(column) for column in halves] == [1 + w + w * (w + 1)] * 2
-    assert set().union(*halves) <= set(range(2 * w + 1))
-    assert len(left) == len(right) == len(keys)
-    assert set(left) | set(right) <= set(range(len(halves[0])))
-    _enumerate_cached.cache_clear()
 
 
 def test_enumeration_rejects_oversized_ranges():
@@ -248,113 +217,66 @@ def test_match_agrees_with_unpruned_filter_on_seeded_targets():
     assert outcomes == {0, 1, 2}
 
 
+def atom_counts(twist_lo, twist_hi, n):
+    """h0(O(t + n)) and h0(E0(t + n)) for the bounds twists t, keyed by t:
+    the count table matching builds at its top twist n."""
+    twists = range(twist_lo, twist_hi + 1)
+    return (dict(zip(twists, hilbert.h0_quadric3_row(twist_lo + n, twist_hi + n))),
+            dict(zip(twists, map(hilbert.h0_spinor, range(twist_lo + n, twist_hi + n + 1)))))
+
+
 def test_count_table_agrees_with_the_section_count_oracle():
-    """A cached candidate's count at twist n, the sum of its key's entries in
-    the twist's count table, and the same count as matching reads it, its
-    left half's count plus its right half's, each read off the count table
-    with a 0 appended, both equal SheafExpr.h0, which stays the oracle; and
-    each key, decoded by _candidate, gives back the key from the candidate's
-    spinors (w + t - twist_lo once per copy of E0(t)) and lines
-    (t - twist_lo once per copy of O(t)), spinors first, ascending within
-    each kind.  The cache is in generation order, so each key is paired with
-    its own decoding, not with the rendered enumeration."""
-    twist_lo, twist_hi = DEFAULT_TWIST_BOUNDS
-    w = twist_hi - twist_lo + 1
-    keys, (xs, ys), left, right = _enumerate_cached(twist_lo, twist_hi)
-    decoded = [_candidate(key, twist_lo, twist_hi) for key in keys]
-    assert len(keys) == 1320
-    assert sorted(decoded, key=SheafExpr.render) == enumerate_rank4_candidates()
-    for cand, key in zip(decoded, keys):
-        spinors = sorted(w + t - twist_lo for t, m in cand.spinors for _ in range(m))
-        lines = sorted(t - twist_lo for t, m in cand.lines for _ in range(m))
-        assert key == (*spinors, *lines), cand
+    """A candidate's count at twist n as matching reads it, the sum of its
+    summands' entries in the twist's count table, equals SheafExpr.h0,
+    which stays the oracle."""
+    candidates = enumerate_rank4_candidates()
     for n in range(-20, 41):
-        row = _count_table(twist_lo, twist_hi, n) + [0]
-        half = [row[x] + row[y] for x, y in zip(xs, ys)]
-        for cand, key, i, j in zip(decoded, keys, left, right):
-            assert sum(map(row.__getitem__, key)) == half[i] + half[j] == cand.h0(n), (cand, n)
+        line, e = atom_counts(*DEFAULT_TWIST_BOUNDS, n)
+        for cand in candidates:
+            count = (sum(line[t] * m for t, m in cand.lines)
+                     + sum(e[t] * m for t, m in cand.spinors))
+            assert count == cand.h0(n), (cand, n)
 
 
 def test_cold_match_builds_only_the_top_twist_survivors(monkeypatch):
-    """The candidate cache holds integer tuples only, keys, half table and
-    half index columns alike, and a cold match of KERNEL_84 on 0:6
-    constructs one SheafExpr per candidate that agrees at twist 6, three of
-    them, rather than all 1,320."""
+    """A match of KERNEL_84 on 0:6 constructs one SheafExpr per candidate
+    that agrees at twist 6, three of them, rather than all 1,320; classify
+    keeps no candidate state between calls, so a second match builds the
+    same three again."""
     calls = count_builds(monkeypatch)
-    _enumerate_cached.cache_clear()
-    got = match_acm_kernel(KERNEL_84, KERNEL_WINDOW)
-    assert calls == {"new": 3, "bypass": 0}
-    assert got == [spinor(-2, 2)]
-    keys, halves, left, right = _enumerate_cached(*DEFAULT_TWIST_BOUNDS)
-    for table in keys, halves:
-        assert all(type(i) is int for entry in table for i in entry)
-        assert {type(entry) for entry in table} == {tuple}
-    assert all(type(i) is int for i in (*left, *right))
-    assert {type(left), type(right)} == {tuple}
-    _enumerate_cached.cache_clear()
+    for _ in range(2):
+        got = match_acm_kernel(KERNEL_84, KERNEL_WINDOW)
+        assert calls == {"new": 3, "bypass": 0}
+        assert got == [spinor(-2, 2)]
+        calls.update(new=0)
+    assert not any(hasattr(value, "cache_info") for value in vars(classify).values())
 
 
 SCAN_BOUNDS = [(0, 0), (1, 1), (-1, 0), (-6, 3), (-4, 5), (0, 9)]
 
 
-def half_atoms(twist_lo, twist_hi):
-    """The halves, built apart from the cache as tuples of summand indices:
-    (), each line pair, each E0 and each E0 pair, in that order."""
-    w = twist_hi - twist_lo + 1
-    return [(), *combinations_with_replacement(range(w), 2),
-            *((w + s,) for s in range(w)), *combinations_with_replacement(range(w, 2 * w), 2)]
-
-
-@pytest.mark.parametrize("bounds", SCAN_BOUNDS)
-def test_half_table_counts_each_half_as_its_atoms(bounds):
-    """Each half's count, read off the two half columns of a count table with
-    a 0 appended, is the sum of its atoms' entries in the count table, and
-    each key is its left half's atoms followed by its right half's: the
-    first line pair and then the last for four lines, else the spinors and
-    then the lines."""
-    twist_lo, twist_hi = bounds
-    keys, (xs, ys), left, right = _enumerate_cached(twist_lo, twist_hi)
-    atoms = half_atoms(twist_lo, twist_hi)
-    assert len(xs) == len(ys) == len(atoms)
-    assert [atoms[i] + atoms[j] for i, j in zip(left, right)] == list(keys)
-    for n in (*range(-20, 41), 1_000_000):
-        row = _count_table(twist_lo, twist_hi, n)
-        padded = row + [0]
-        for x, y, half in zip(xs, ys, atoms):
-            assert padded[x] + padded[y] == sum(row[i] for i in half), (n, half)
-
-
-class _Unbuilt:
-    """Stands for a survivor of the top-twist scan: it records its key and
-    agrees with no target below the top twist, so matching returns []."""
-
-    def __init__(self, key, scanned):
-        scanned.append(key)
-
-    def h0_row(self, lo, hi):
-        return None
-
-
 @pytest.mark.parametrize("bounds", SCAN_BOUNDS)
 def test_scan_keeps_the_per_key_sum_survivors(monkeypatch, bounds):
-    """At each twist n in -20..40 and 10**6, and for each distinct top count
-    some key has there, the keys matching hands to _candidate are those
-    whose per-key sum over the count table, the scan as first written and
-    kept here as the oracle, equals that count, in generation order."""
+    """The decoder is exact at the top twist.  At each twist n in -20..40 and
+    10**6, for each distinct count some candidate has there and for one that
+    none has, the candidates matching builds and hands to SheafExpr.h0_row
+    are those of the scan as first written, kept here as the oracle: every
+    enumerated candidate whose SheafExpr.h0 at n equals the count."""
     twist_lo, twist_hi = bounds
-    keys = _enumerate_cached(twist_lo, twist_hi)[0]
-    scanned = []
-    monkeypatch.setattr(classify, "_candidate", lambda key, *_: _Unbuilt(key, scanned))
+    candidates = enumerate_rank4_candidates(twist_lo, twist_hi)
+    receivers, h0_row = [], SheafExpr.h0_row
+    monkeypatch.setattr(SheafExpr, "h0_row",
+                        lambda self, lo, hi: receivers.append(self) or h0_row(self, lo, hi))
     for n in (*range(-20, 41), 1_000_000):
-        count_of = _count_table(twist_lo, twist_hi, n).__getitem__
         oracle = {}
-        for key in keys:
-            oracle.setdefault(sum(map(count_of, key)), []).append(key)
-        for top, want in oracle.items():
+        for cand in candidates:
+            oracle.setdefault(cand.h0(n), set()).add(cand)
+        for top in (*oracle, max(oracle) + 1):
             target = {m: 0 for m in range(n - 4, n)} | {n: top}
-            scanned.clear()
-            assert match_acm_kernel(target, (n - 4, n), twist_lo, twist_hi) == []
-            assert scanned == want, (n, top)
+            receivers.clear()
+            match_acm_kernel(target, (n - 4, n), twist_lo, twist_hi)
+            assert len(receivers) == len(set(receivers)), (n, top)
+            assert set(receivers) == oracle.get(top, set()), (n, top)
 
 
 @pytest.mark.parametrize("bounds", [(-6, 3), (-2, 0), (-4, 5), (0, 9), (1, 1)])
@@ -574,45 +496,59 @@ def test_top_count_rule_is_exact_at_each_shapes_edges(bounds, top):
 
 @pytest.mark.parametrize("bounds", [DEFAULT_TWIST_BOUNDS, (-4, 5), (0, 9), (2, 2), (-1, 0)])
 def test_count_table_halves_do_not_decrease(bounds):
-    """The premise of the top-count rule: h0(O(t + n)) and h0(E0(t + n)),
-    the two halves of the count table, do not decrease as t rises."""
+    """The premise of the top-count rule: the two halves of the count table,
+    the hilbert rows h0(O(t + n)) and h0(E0(t + n)) over the bounds twists
+    t, do not decrease as t rises."""
     twist_lo, twist_hi = bounds
-    w = twist_hi - twist_lo + 1
     for n in (*range(-20, 41), -1_000_000, 1_000_000):
-        row = _count_table(twist_lo, twist_hi, n)
-        for half in row[:w], row[w:]:
-            assert half == sorted(half), (n, half)
+        twists = range(twist_lo + n, twist_hi + n + 1)
+        for half in hilbert.h0_quadric3_row(twists[0], twists[-1]), [*map(hilbert.h0_spinor, twists)]:
+            assert len(half) == len(twists) and half == sorted(half), (n, half)
+
+
+def count_pair_tables(monkeypatch):
+    """Counts the line-pair tables matching builds: calls[0] rises by one
+    each time classify walks the line pairs of its bounds."""
+    calls, pairs = [0], classify.combinations_with_replacement
+
+    def counted(*args):
+        calls[0] += 1
+        return pairs(*args)
+
+    monkeypatch.setattr(classify, "combinations_with_replacement", counted)
+    return calls
 
 
 @pytest.mark.parametrize("step", [-1, 1])
 @pytest.mark.parametrize("top", [6, 1_000_000])
 def test_top_count_outside_every_range_reads_no_key(monkeypatch, counts, top, step):
     """A top count one below the lowest shape's minimum or one above the
-    highest shape's maximum: matching builds the one count table, reads
-    ``_enumerate_cached`` zero times and builds no SheafExpr."""
+    highest shape's maximum: matching builds the one count table, builds
+    no line-pair table, so reads no count key, and builds no SheafExpr."""
     twist_lo, twist_hi = DEFAULT_TWIST_BOUNDS
     window = (top - 6, top)
     edge = spinor(twist_lo, 2) if step < 0 else line_bundle(twist_hi, 4)
     target = dict(zip(range(window[0], top + 1), edge.h0_row(*window)))
     target[top] += step
     assert filter_match(target, window, twist_lo, twist_hi) == []
-    reads = _enumerate_cached.cache_info()
+    tables = count_pair_tables(monkeypatch)
     calls = count_builds(monkeypatch)
     clear(counts)
     assert match_acm_kernel(target, window) == []
-    after = _enumerate_cached.cache_info()
-    assert after.hits + after.misses == reads.hits + reads.misses
+    assert tables == [0]
     assert calls == {"new": 0, "bypass": 0}
     assert counts["rows"] == [(twist_lo + top, twist_hi + top)]
+    assert len(counts["atoms"]) == 2 * (twist_hi - twist_lo + 1)
     assert counts["sum_rows"] == [] and counts["sums"] == []
 
 
 @pytest.mark.parametrize("window, ended", [((-1, 8), 359), ((0, 6), 290)])
-def test_top_count_rule_ends_most_q_class_matches(window, ended):
+def test_top_count_rule_ends_most_q_class_matches(monkeypatch, window, ended):
     """Of the Q classes with d <= 20 and 0 <= g < 4d, the 543 whose E-type
     kernel table can be built reach matching; the top-count rule ends
-    ``ended`` of them before any key is read, each with no match, and the
-    others read the keys once."""
+    ``ended`` of them before the line-pair table is built, each with no
+    match, and the others build it once."""
+    tables = count_pair_tables(monkeypatch)
     reached = read = 0
     for d in range(1, 21):
         for g in range(4 * d):
@@ -622,10 +558,9 @@ def test_top_count_rule_ends_most_q_class_matches(window, ended):
             except (NegativeDimension, ValueError):
                 continue
             reached += 1
-            before = _enumerate_cached.cache_info()
+            before = tables[0]
             got = match_acm_kernel(target, window)
-            after = _enumerate_cached.cache_info()
-            scanned = after.hits + after.misses - before.hits - before.misses
+            scanned = tables[0] - before
             assert scanned in (0, 1)
             assert scanned or got == []
             read += scanned
